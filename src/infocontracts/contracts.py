@@ -6,8 +6,8 @@ depends only on the realization of the contractible experiment, and side
 bets with zero expected value in every state.  The bonus and the side bets
 carry no incentives but determine the agent's rents, so cost minimization
 reduces to choosing them optimally subject to nonnegative payments: a
-row-minimum shift in closed form when the kernel has full row rank, and a
-small LP otherwise.
+row-minimum shift in closed form when the kernel has no null space (no side
+bets exist), and a small LP over the payments otherwise.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import PosteriorCost, marginal_cost_matrix, total_cost
+from .costs import PosteriorCost, total_cost
 from .errors import (
     DimensionMismatchError,
     InputError,
@@ -26,7 +26,7 @@ from .errors import (
 )
 from .experiments import Belief, Experiment, PosteriorDistribution, experiment_from_posteriors
 from .implementability import ImplementabilityReport, check_implementable
-from .numerics import LpProblem, LpStatus, PseudoInverse, pseudo_inverse, solve_lp
+from .numerics import LpProblem, LpStatus, PseudoInverse, solve_lp
 from .orders import binary_likelihood_ratios
 
 # Entries of a limited-liability contract may dip this far below zero
@@ -159,34 +159,27 @@ class ContractFamily:
         return cols.mean(axis=1)
 
 
-def _effective_nabla(e_p, target, cost, report: ImplementabilityReport) -> np.ndarray:
-    nabla = marginal_cost_matrix(cost, target).matrix
-    if report.mode == "corner" and report.eta is not None:
-        nabla = nabla - report.eta
-    return nabla
-
-
-def _null_space_basis(pinv: PseudoInverse) -> np.ndarray:
-    a = pinv.source
-    _, _, vt = np.linalg.svd(a, full_matrices=True)
-    return vt[pinv.rank:].T.copy()
-
-
 def synthesize_family(e_p: Experiment, target: PosteriorDistribution,
                       cost: PosteriorCost, rank_tol: float | None = None) -> ContractFamily:
     """Build the (Z, W)-parametrized family of implementing contracts."""
-    report = check_implementable(e_p, target, cost, rank_tol=rank_tol)
+    return _family(e_p, check_implementable(e_p, target, cost, rank_tol=rank_tol))
+
+
+def _family(e_p: Experiment, report: ImplementabilityReport) -> ContractFamily:
+    """The family of an implementable target, from the kernel factorization
+    and marginal costs its implementability verdict was decided with."""
     if not report.implementable:
         raise NotImplementableError(
             f"target is not implementable under this experiment: {report.reason}",
             report=report,
         )
-    pinv = pseudo_inverse(e_p.kernel, rank_tol)
-    nabla = _effective_nabla(e_p, target, cost, report)
-    base = pinv.pinv @ nabla
+    nabla = report.marginal_costs
+    if report.eta is not None:
+        nabla = nabla - report.eta
+    pinv = report.factorization
     return ContractFamily(
-        experiment=e_p, pinv=pinv, nabla=nabla, base=base,
-        null_basis=_null_space_basis(pinv), report=report,
+        experiment=e_p, pinv=pinv, nabla=nabla, base=pinv.pinv @ nabla,
+        null_basis=pinv.null_basis, report=report,
     )
 
 
@@ -196,10 +189,10 @@ class CostReport:
 
     ``kappa`` is the minimized expected payment, ``first_best`` the bare
     information cost, and ``agency_rent`` their gap (the premium forced by
-    limited liability).  ``payment_check`` re-evaluates the optimal
-    contract's expected payment directly from the joint distribution of
-    reports and realizations; see the docstring of ``optimal_contract`` for
-    when the two conventions can differ.
+    limited liability).  ``kappa`` is computed from the agent's per-state
+    multiplier of the optimal contract; ``payment_check`` re-evaluates the
+    same expected payment directly from the joint distribution of reports
+    and realizations.
     """
 
     kappa: float
@@ -242,12 +235,12 @@ def optimal_contract(e_p: Experiment, target: PosteriorDistribution,
     When the kernel has no null space the optimum is closed-form: shift the
     base contract by minus its row minima, so every realization leaves at
     least one report unpaid.  Otherwise side bets exist (deficient row rank,
-    or more realizations than states) and the bonus and side bets are
-    jointly optimized by a small LP.  The reported cost is
-    ``first_best + mu0 . (kernel @ Z*)``; for deficient-rank kernels with a
-    non-uniform prior this bookkeeping convention can differ from the direct
-    expected payment of the optimal contract, which is therefore always
-    exposed as ``payment_check``.
+    or more realizations than states) and the payments are optimized
+    directly by an LP: ``T >= 0`` such that ``kernel @ T_k - lambda =
+    nabla_k`` for every report ``k`` and some multiplier ``lambda``,
+    minimizing the expected payment.  The reported cost is
+    ``first_best + mu0 . lambda(T*)``, which equals the expected payment of
+    the optimal contract (re-evaluated independently as ``payment_check``).
     """
     report = check_implementable(e_p, target, cost, rank_tol=rank_tol, lp_tol=lp_tol)
     first_best = total_cost(cost, target)
@@ -256,41 +249,19 @@ def optimal_contract(e_p: Experiment, target: PosteriorDistribution,
             kappa=math.inf, first_best=first_best, agency_rent=math.inf,
             contract=None, mode=report.mode, reason=report.reason,
         )
-    family = synthesize_family(e_p, target, cost, rank_tol)
-    base = family.base
-    m, k = base.shape
-    mu_ep = cost.prior.probs @ e_p.kernel                  # realization probabilities
-
-    # Row-minimum shift only when no side bets exist; with a nontrivial
-    # null space per-report side bets can strictly lower the cost.
+    family = _family(e_p, report)
     if family.null_basis.shape[1] == 0:
-        z_opt = -rowmin(base)
-        payments = base + z_opt[:, None]
+        payments = family.base - rowmin(family.base)[:, None]
     else:
-        d = family.null_basis.shape[1]
-        n_vars = m + d * k
-        c_obj = np.concatenate([mu_ep, np.zeros(d * k)])
-        blocks = []
-        rhs = []
-        for j in range(k):
-            row = np.zeros((m, n_vars))
-            row[:, :m] = -np.eye(m)
-            row[:, m + j * d: m + (j + 1) * d] = -family.null_basis
-            blocks.append(row)
-            rhs.append(base[:, j])
-        lp = LpProblem(c=c_obj, a_ub=np.vstack(blocks), b_ub=np.concatenate(rhs),
-                       bounds=(None, None))
-        sol = solve_lp(lp) if lp_tol is None else solve_lp(lp, feasibility_tol=lp_tol)
-        if sol.status is not LpStatus.OPTIMAL:
-            raise SolverFailureError(f"cost-minimization LP did not resolve: {sol.message}")
-        z_opt = sol.x[:m]
-        w = family.null_basis @ sol.x[m:].reshape(k, d).T
-        payments = base + z_opt[:, None] + w
-
+        payments = _min_payment_lp(e_p.kernel, target, family.nabla, lp_tol)
     payments = _clamp_zero(payments)
+    if payments.min() < -LL_TOL:
+        raise SolverFailureError(
+            f"cost-minimization LP returned a negative payment ({payments.min():.3e})"
+        )
     contract = Contract(payments, limited_liability=True,
                         realizations=e_p.realizations)
-    kappa = first_best + float(mu_ep @ z_opt)
+    kappa = first_best + float(cost.prior.probs @ family.lambda_for(contract))
     binding = tuple(
         (int(i), int(j)) for i, j in zip(*np.nonzero(np.abs(payments) <= 1e-9))
     )
@@ -300,6 +271,24 @@ def optimal_contract(e_p: Experiment, target: PosteriorDistribution,
         contract=contract, binding_cells=binding, payment_check=check,
         mode=report.mode,
     )
+
+
+def _min_payment_lp(kernel, target, nabla, lp_tol) -> np.ndarray:
+    """Payments ``T >= 0`` (M x K) minimizing the expected payment subject
+    to ``kernel @ T_k - lambda = nabla_k`` for every report ``k``.  The free
+    multiplier ``lambda`` is eliminated against the last report: with
+    ``D = [I; -1']`` taking column differences, the constraint is
+    ``kernel @ T @ D = nabla @ D``, i.e. ``kron(D', kernel) vec(T) = vec(nabla @ D)``
+    with ``T`` flattened column by column."""
+    m, k = kernel.shape[1], nabla.shape[1]
+    d = np.vstack([np.eye(k - 1), -np.ones((1, k - 1))])
+    weighted = target.posterior_matrix() * target.weights
+    lp = LpProblem(c=(weighted.T @ kernel).reshape(-1), a_eq=np.kron(d.T, kernel),
+                   b_eq=(nabla @ d).flatten(order="F"), bounds=(0, None))
+    sol = solve_lp(lp) if lp_tol is None else solve_lp(lp, feasibility_tol=lp_tol)
+    if sol.status is not LpStatus.OPTIMAL:
+        raise SolverFailureError(f"cost-minimization LP did not resolve: {sol.message}")
+    return sol.x.reshape(k, m).T
 
 
 def first_best_contract(e_p: Experiment, target: PosteriorDistribution,

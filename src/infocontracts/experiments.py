@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError, InputError
-from .numerics import LpProblem, LpStatus, matrix_rank, solve_lp
+from .numerics import matrix_rank, nonnegative_solve
 from .orders import OrderVerdict, assemble_verdict
 
 # Simplex membership slack for beliefs and kernel rows.
@@ -246,44 +246,14 @@ def has_uniform_random_noise(e: Experiment, tol: float = 1e-12) -> bool:
     return len(set(argmaxes)) == len(argmaxes)
 
 
-def _garbling(a: np.ndarray, b: np.ndarray):
-    """Row-stochastic G >= 0 with a @ G = b, or None."""
-    n, m_a = a.shape
-    m_b = b.shape[1]
-    # Variables: G flattened row-major (m_a x m_b).
-    a_eq_rows = []
-    b_eq = []
-    for i in range(n):
-        for j in range(m_b):
-            row = np.zeros(m_a * m_b)
-            row[j::m_b] = a[i, :]
-            a_eq_rows.append(row)
-            b_eq.append(b[i, j])
-    for r in range(m_a):
-        row = np.zeros(m_a * m_b)
-        row[r * m_b:(r + 1) * m_b] = 1.0
-        a_eq_rows.append(row)
-        b_eq.append(1.0)
-    problem = LpProblem(
-        c=np.zeros(m_a * m_b),
-        a_eq=np.array(a_eq_rows), b_eq=np.array(b_eq),
-        bounds=(0, None),
-    )
-    sol = solve_lp(problem)
-    if sol.status is LpStatus.OPTIMAL:
-        return sol.x.reshape(m_a, m_b)
-    if sol.status is LpStatus.INFEASIBLE:
-        return None
-    raise InputError(f"garbling feasibility LP did not resolve: {sol.message}")
-
-
 def blackwell_compare(e: Experiment, f: Experiment) -> OrderVerdict:
-    """Blackwell order via garbling feasibility, decided by LP in both
-    directions.  Dominance certificates carry the garbling matrix."""
+    """Blackwell order via garbling feasibility: one LP for a row-stochastic
+    ``G >= 0`` with ``e.kernel @ G = f.kernel`` in each direction.
+    Dominance certificates carry the garbling matrix."""
     if e.n_states != f.n_states:
         raise DimensionMismatchError("experiments live on different state spaces")
-    g_fwd = _garbling(e.kernel, f.kernel)
-    g_bwd = _garbling(f.kernel, e.kernel)
+    g_fwd = nonnegative_solve(e.kernel, f.kernel, stochastic=True)
+    g_bwd = nonnegative_solve(f.kernel, e.kernel, stochastic=True)
     return assemble_verdict(
         "blackwell", g_fwd is not None, g_bwd is not None,
         {"garbling": g_fwd} if g_fwd is not None else None,

@@ -21,15 +21,22 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .costs import MarginalCostMatrix, PosteriorCost, marginal_cost_matrix, total_cost
-from .errors import BoundaryMarginalCostError, DimensionMismatchError, InputError
-from .experiments import (
-    INTERIOR_THRESHOLD,
-    Experiment,
-    PosteriorDistribution,
-    has_full_row_rank,
-    is_bayes_plausible,
+from .errors import (
+    BoundaryMarginalCostError,
+    DimensionMismatchError,
+    InputError,
+    SolverFailureError,
 )
-from .numerics import RESIDUAL_TOL, LpProblem, LpStatus, matrix_rank, pseudo_inverse, solve_lp
+from .experiments import INTERIOR_THRESHOLD, Experiment, PosteriorDistribution, is_bayes_plausible
+from .numerics import (
+    RESIDUAL_TOL,
+    LpProblem,
+    LpStatus,
+    PseudoInverse,
+    matrix_rank,
+    pseudo_inverse,
+    solve_lp,
+)
 from .orders import OrderVerdict, colspace_compare
 
 # Absolute floor so that vanishing column differences never trip the
@@ -46,7 +53,11 @@ class ImplementabilityReport:
     full-row-rank fast path fired.  ``lambda_certificate`` reconstructs the
     agent's per-state payoff multiplier for the canonical contract;
     ``eta`` carries the boundary multipliers in corner mode (zero rows on
-    interior coordinates by construction).
+    interior coordinates by construction).  ``factorization`` and
+    ``marginal_costs`` are the kernel's pseudo-inverse and the target's
+    marginal-cost matrix the verdict was decided with (None when the target
+    was rejected before either was computed), so that contract synthesis
+    can reuse them.
     """
 
     implementable: bool
@@ -58,6 +69,8 @@ class ImplementabilityReport:
     tolerance: float
     full_row_rank: bool
     reason: str = ""
+    factorization: PseudoInverse | None = None
+    marginal_costs: np.ndarray | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -73,10 +86,10 @@ class ImplementabilityReport:
         }
 
 
-def _no(reason: str, mode: str, tol: float, full_rank: bool = False) -> ImplementabilityReport:
+def _no(reason: str, mode: str, tol: float) -> ImplementabilityReport:
     return ImplementabilityReport(
         implementable=False, mode=mode, residuals=np.array([]), diff_norms=np.array([]),
-        lambda_certificate=None, eta=None, tolerance=tol, full_row_rank=full_rank,
+        lambda_certificate=None, eta=None, tolerance=tol, full_row_rank=False,
         reason=reason,
     )
 
@@ -87,10 +100,6 @@ def _check_spaces(e_p: Experiment, target: PosteriorDistribution,
         raise DimensionMismatchError("experiment and target live on different state spaces")
     if not is_bayes_plausible(target, cost.prior):
         raise InputError("target must average back to the cost's prior (Bayes plausibility)")
-
-
-def _has_boundary_posterior(target: PosteriorDistribution) -> bool:
-    return any(not b.is_interior() for b in target.beliefs)
 
 
 def _lambda_from(nabla: np.ndarray, projector: np.ndarray) -> np.ndarray:
@@ -107,44 +116,12 @@ def check_implementable(e_p: Experiment, target: PosteriorDistribution,
     """Decide implementability of ``target`` under ``e_p`` for ``cost``.
 
     Interior targets use the column-space test on marginal-cost differences
-    (with a full-row-rank fast path); targets with boundary posteriors are
-    dispatched to :func:`check_implementable_corner` when the cost's slope
-    stays bounded, and rejected outright when it does not (a posterior that
-    rules out a state can then never be optimal).
+    (with a full-row-rank fast path); targets with boundary posteriors get
+    the corner test of :func:`check_implementable_corner` when the cost's
+    slope stays bounded, and are rejected outright when it does not (a
+    posterior that rules out a state can then never be optimal).
     """
-    _check_spaces(e_p, target, cost)
-    if math.isinf(total_cost(cost, target)):
-        return _no("target has infinite information cost", "interior", residual_tol)
-    if _has_boundary_posterior(target):
-        if cost.infinite_boundary_slope:
-            return _no(
-                "target includes a boundary posterior but the cost's slope is "
-                "unbounded at the boundary, so such learning is never optimal",
-                "interior", residual_tol,
-            )
-        return check_implementable_corner(e_p, target, cost, residual_tol, rank_tol, lp_tol)
-
-    nabla = marginal_cost_matrix(cost, target).matrix
-    if has_full_row_rank(e_p, rank_tol):
-        return ImplementabilityReport(
-            implementable=True, mode="interior", residuals=np.array([]),
-            diff_norms=np.array([]), lambda_certificate=np.zeros(e_p.n_states),
-            eta=None, tolerance=residual_tol, full_row_rank=True,
-            reason="full row rank: any finite-cost target is implementable",
-        )
-
-    pinv = pseudo_inverse(e_p.kernel, rank_tol)
-    projector = pinv.projector
-    diffs = nabla[:, :-1] - nabla[:, -1:]
-    residuals = np.linalg.norm(diffs - projector @ diffs, axis=0)
-    norms = np.linalg.norm(diffs, axis=0)
-    ok = bool(np.all(residuals <= residual_tol * norms + _RESIDUAL_FLOOR))
-    return ImplementabilityReport(
-        implementable=ok, mode="interior", residuals=residuals, diff_norms=norms,
-        lambda_certificate=_lambda_from(nabla, projector) if ok else None,
-        eta=None, tolerance=residual_tol, full_row_rank=False,
-        reason="" if ok else "a marginal-cost difference leaves the kernel's column space",
-    )
+    return _decide(e_p, target, cost, residual_tol, rank_tol, lp_tol, corner=False)
 
 
 def check_implementable_corner(e_p: Experiment, target: PosteriorDistribution,
@@ -160,86 +137,98 @@ def check_implementable_corner(e_p: Experiment, target: PosteriorDistribution,
     certificate.  On interior targets every multiplier is pinned to zero and
     the verdict coincides with :func:`check_implementable`.
     """
+    return _decide(e_p, target, cost, residual_tol, rank_tol, lp_tol, corner=True)
+
+
+def _decide(e_p, target, cost, residual_tol, rank_tol, lp_tol, corner: bool) -> ImplementabilityReport:
+    """The one implementability routine.  In order: the full-row-rank fast
+    path, the projection-residual test when no multiplier is free, and the
+    boundary-multiplier LP otherwise."""
     _check_spaces(e_p, target, cost)
     if math.isinf(total_cost(cost, target)):
-        return _no("target has infinite information cost", "corner", residual_tol)
+        return _no("target has infinite information cost",
+                   "corner" if corner else "interior", residual_tol)
+    posterior_matrix = target.posterior_matrix()
+    if not corner and np.any(posterior_matrix < INTERIOR_THRESHOLD):
+        if cost.infinite_boundary_slope:
+            return _no(
+                "target includes a boundary posterior but the cost's slope is "
+                "unbounded at the boundary, so such learning is never optimal",
+                "interior", residual_tol,
+            )
+        corner = True
+    mode = "corner" if corner else "interior"
 
-    nabla_obj = marginal_cost_matrix(cost, target)   # raises if slope unbounded at boundary
-    nabla = nabla_obj.matrix
-    if not np.all(np.isfinite(nabla)):
+    nabla = marginal_cost_matrix(cost, target).matrix   # raises if slope unbounded at boundary
+    if corner and not np.all(np.isfinite(nabla)):
         raise BoundaryMarginalCostError(
             "marginal-cost matrix has non-finite entries; the boundary test "
             "needs finite gradients at every target posterior"
         )
     n, k = nabla.shape
-
-    if has_full_row_rank(e_p, rank_tol):
+    fact = pseudo_inverse(e_p.kernel, rank_tol)
+    if fact.rank == n:
         return ImplementabilityReport(
-            implementable=True, mode="corner", residuals=np.array([]),
+            implementable=True, mode=mode, residuals=np.array([]),
             diff_norms=np.array([]), lambda_certificate=np.zeros(n),
-            eta=np.zeros((n, k)), tolerance=residual_tol, full_row_rank=True,
+            eta=np.zeros((n, k)) if corner else None, tolerance=residual_tol,
+            full_row_rank=True, factorization=fact, marginal_costs=nabla,
             reason="full row rank: any finite-cost target is implementable",
         )
 
-    posterior_matrix = target.posterior_matrix()
-    free = posterior_matrix < INTERIOR_THRESHOLD        # eta may be positive only here
-    if not free.any():
-        # Interior target: complementary slackness pins every multiplier to
-        # zero and the verdict is the interior one.
-        base = check_implementable(e_p, target, cost, residual_tol, rank_tol)
-        return replace(base, mode="corner",
-                       eta=np.zeros((n, k)) if base.implementable else None)
-
-    pinv = pseudo_inverse(e_p.kernel, rank_tol)
-    projector = pinv.projector
-    complement = np.eye(n) - projector
-    free_idx = [(i, j) for j in range(k) for i in range(n) if free[i, j]]
-    n_eta = len(free_idx)
     diffs = nabla[:, :-1] - nabla[:, -1:]
-    rhs = (complement @ diffs).flatten(order="F")       # stacked per column block
-    n_rows = rhs.size
+    norms = np.linalg.norm(diffs, axis=0)
+    # In corner mode eta may be positive where a posterior rules its state out.
+    free = (posterior_matrix < INTERIOR_THRESHOLD).flatten(order="F") & corner
+    eta = np.zeros((n, k))
+    if free.any():
+        eta, ok = _fit_multipliers(fact.projector, diffs, free, residual_tol, lp_tol)
+    adjusted = nabla - eta
+    adj_diffs = adjusted[:, :-1] - adjusted[:, -1:]
+    residuals = np.linalg.norm(adj_diffs - fact.projector @ adj_diffs, axis=0)
+    if not free.any():
+        ok = bool(np.all(residuals <= residual_tol * norms + _RESIDUAL_FLOOR))
+    reason = ("" if ok else
+              "no boundary multipliers can pull the marginal-cost differences "
+              "into the kernel's column space" if free.any() else
+              "a marginal-cost difference leaves the kernel's column space")
+    return ImplementabilityReport(
+        implementable=ok, mode=mode, residuals=residuals, diff_norms=norms,
+        lambda_certificate=_lambda_from(adjusted, fact.projector) if ok else None,
+        eta=eta if ok and corner else None, tolerance=residual_tol,
+        full_row_rank=False, reason=reason, factorization=fact, marginal_costs=nabla,
+    )
 
-    # Residual rows: rhs - C @ eta_block, where the eta of column j enters
-    # block j with +complement and the last column's eta enters every block
-    # with -complement (the multipliers are subtracted from nabla).
-    coef = np.zeros((n_rows, n_eta))
-    for var, (i, j) in enumerate(free_idx):
-        col = complement[:, i]
-        if j < k - 1:
-            coef[j * n:(j + 1) * n, var] = col
-        else:
-            for block in range(k - 1):
-                coef[block * n:(block + 1) * n, var] = -col
+
+def _fit_multipliers(projector, diffs, free, residual_tol, lp_tol) -> tuple[np.ndarray, bool]:
+    """Boundary-multiplier LP: ``eta >= 0`` on the ``free`` cells (flattened
+    column by column) minimizing the l1 norm of the projection residuals of
+    the columns of ``diffs - (eta[:, :-1] - eta[:, -1:])``.  Returns the
+    optimal ``eta`` and the verdict."""
+    n, k = diffs.shape[0], diffs.shape[1] + 1
+    complement = np.eye(n) - projector
+    rhs = (complement @ diffs).flatten(order="F")       # stacked per column block
+    # vec(C @ eta @ D) = kron(D', C) vec(eta), with D = [I; -1'] taking
+    # column differences against the last column.
+    d = np.vstack([np.eye(k - 1), -np.ones((1, k - 1))])
+    coef = np.kron(d.T, complement)[:, free]
+    n_eta, n_rows = coef.shape[1], rhs.size
 
     # min sum(t) s.t. -t <= rhs - coef @ eta <= t, eta >= 0, t >= 0.
-    n_vars = n_eta + n_rows
     c_obj = np.concatenate([np.zeros(n_eta), np.ones(n_rows)])
     a_ub = np.block([
         [coef, -np.eye(n_rows)],
         [-coef, -np.eye(n_rows)],
     ])
     b_ub = np.concatenate([rhs, -rhs])
-    lp = LpProblem(c=c_obj, a_ub=a_ub, b_ub=b_ub, bounds=[(0, None)] * n_vars)
+    lp = LpProblem(c=c_obj, a_ub=a_ub, b_ub=b_ub, bounds=(0, None))
     sol = solve_lp(lp) if lp_tol is None else solve_lp(lp, feasibility_tol=lp_tol)
     if sol.status is not LpStatus.OPTIMAL:
-        raise InputError(f"boundary-multiplier LP did not resolve: {sol.message}")
-
-    norms = np.linalg.norm(diffs, axis=0)
-    scale = max(1.0, float(norms.max(initial=0.0)))
-    ok = sol.objective <= residual_tol * scale * max(1, n_rows)
-    eta = np.zeros((n, k))
-    for var, (i, j) in enumerate(free_idx):
-        eta[i, j] = sol.x[var]
-    adjusted = nabla - eta
-    adj_diffs = adjusted[:, :-1] - adjusted[:, -1:]
-    residuals = np.linalg.norm(complement @ adj_diffs, axis=0)
-    return ImplementabilityReport(
-        implementable=ok, mode="corner", residuals=residuals, diff_norms=norms,
-        lambda_certificate=_lambda_from(adjusted, projector) if ok else None,
-        eta=eta if ok else None, tolerance=residual_tol, full_row_rank=False,
-        reason="" if ok else "no boundary multipliers can pull the marginal-cost "
-                             "differences into the kernel's column space",
-    )
+        raise SolverFailureError(f"boundary-multiplier LP did not resolve: {sol.message}")
+    eta = np.zeros(n * k)
+    eta[free] = sol.x[:n_eta]
+    scale = max(1.0, float(np.linalg.norm(diffs, axis=0).max(initial=0.0)))
+    return eta.reshape((n, k), order="F"), sol.objective <= residual_tol * scale * max(1, n_rows)
 
 
 def check_unique_implementable(e_p: Experiment, target: PosteriorDistribution,

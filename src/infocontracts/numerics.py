@@ -12,7 +12,7 @@ from enum import Enum
 import numpy as np
 from scipy.optimize import linprog
 
-from .errors import DimensionMismatchError, InputError
+from .errors import DimensionMismatchError, InputError, SolverFailureError
 
 # Default relative factor for the singular-value rank cutoff.  The cutoff is
 # sigma_max * max(rows, cols) * RANK_TOL_FACTOR, i.e. scale-free.
@@ -47,20 +47,20 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
 
 @dataclass(frozen=True)
 class PseudoInverse:
-    """Moore-Penrose pseudo-inverse of a dense matrix plus its SVD rank.
+    """Moore-Penrose pseudo-inverse of a dense matrix, its SVD rank, and
+    the subspaces that one SVD yields.
 
     ``projector`` is ``source @ pinv``, the orthogonal projector onto the
-    column space of ``source``.
+    column space of ``source``; the columns of ``null_basis`` are an
+    orthonormal basis of its null space.
     """
 
     source: np.ndarray
     pinv: np.ndarray
     rank: int
     singular_values: np.ndarray
-
-    @property
-    def projector(self) -> np.ndarray:
-        return self.source @ self.pinv
+    projector: np.ndarray
+    null_basis: np.ndarray
 
     def column_space_residual(self, v) -> float:
         """Euclidean norm of the component of ``v`` outside Col(source)."""
@@ -77,28 +77,31 @@ def pseudo_inverse(a, rank_tol: float | None = None) -> PseudoInverse:
 
     Singular values above ``sigma_max * max(shape) * rank_tol`` are kept;
     ``rank_tol`` defaults to ``RANK_TOL_FACTOR``.  The returned object
-    satisfies the four Penrose identities to ~1e-10 relative.
+    satisfies the four Penrose identities to ~1e-10 relative.  This is the
+    package's only SVD: every rank, projector and null-space basis comes
+    from here.
     """
     arr = as_matrix(a)
     if rank_tol is None:
         rank_tol = RANK_TOL_FACTOR
     if rank_tol <= 0:
         raise InputError("rank_tol must be positive")
-    u, s, vt = np.linalg.svd(arr, full_matrices=False)
+    u, s, vt = np.linalg.svd(arr, full_matrices=True)
     cutoff = (s[0] * max(arr.shape) * rank_tol) if s.size and s[0] > 0 else 0.0
     # Denormal singular values overflow on inversion; they are zero at any
     # representable scale.
     cutoff = max(cutoff, np.finfo(float).smallest_normal)
-    keep = s > cutoff
-    rank = int(np.count_nonzero(keep))
-    inv_s = np.zeros_like(s)
-    inv_s[keep] = 1.0 / s[keep]
-    pinv = (vt.T * inv_s) @ u.T
+    rank = int(np.count_nonzero(s > cutoff))
+    u_kept, vt_kept = u[:, :rank], vt[:rank]
+    pinv = (vt_kept.T / s[:rank]) @ u_kept.T
+    projector = u_kept @ u_kept.T
+    null_basis = vt[rank:].T.copy()
     sv = s.copy()
     arr = arr.copy()
-    for m in (arr, pinv, sv):
+    for m in (arr, pinv, sv, projector, null_basis):
         m.setflags(write=False)
-    return PseudoInverse(source=arr, pinv=pinv, rank=rank, singular_values=sv)
+    return PseudoInverse(source=arr, pinv=pinv, rank=rank, singular_values=sv,
+                         projector=projector, null_basis=null_basis)
 
 
 def column_space_residual(a, v, rank_tol: float | None = None) -> float:
@@ -201,12 +204,29 @@ def solve_lp(problem: LpProblem, feasibility_tol: float = LP_FEASIBILITY_TOL) ->
 
 
 def _bounds_violation(x: np.ndarray, bounds) -> float:
-    if isinstance(bounds, tuple):
-        bounds = [bounds] * x.size
-    worst = 0.0
-    for xi, (lo, hi) in zip(x, bounds):
-        if lo is not None:
-            worst = max(worst, lo - xi)
-        if hi is not None:
-            worst = max(worst, xi - hi)
-    return float(worst)
+    # None bounds become NaN, which fmax skips.
+    lo, hi = np.broadcast_to(np.array(bounds, dtype=float).reshape(-1, 2), (x.size, 2)).T
+    return float(np.fmax.reduce(np.concatenate([lo - x, x - hi]), initial=0.0))
+
+
+def nonnegative_solve(a, b, stochastic: bool = False) -> np.ndarray | None:
+    """Nonnegative ``G`` with ``a @ G = b`` (and ``G @ 1 = 1`` when
+    ``stochastic``), or None when none exists.
+
+    Decided as one feasibility LP over ``G`` flattened column by column, so
+    that ``kron(I, a)`` maps it onto the columns of ``b``.  Raises
+    :class:`SolverFailureError` when HiGHS gives no trustworthy answer.
+    """
+    a, b = as_matrix(a), as_matrix(b)
+    m_a, m_b = a.shape[1], b.shape[1]
+    a_eq = np.kron(np.eye(m_b), a)
+    b_eq = b.flatten(order="F")
+    if stochastic:
+        a_eq = np.vstack([a_eq, np.kron(np.ones((1, m_b)), np.eye(m_a))])
+        b_eq = np.concatenate([b_eq, np.ones(m_a)])
+    sol = solve_lp(LpProblem(c=np.zeros(m_a * m_b), a_eq=a_eq, b_eq=b_eq, bounds=(0, None)))
+    if sol.status is LpStatus.OPTIMAL:
+        return sol.x.reshape(m_b, m_a).T
+    if sol.status is LpStatus.INFEASIBLE:
+        return None
+    raise SolverFailureError(f"nonnegative-solve LP did not resolve: {sol.message}")

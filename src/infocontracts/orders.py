@@ -1,11 +1,13 @@
 """Information orders between contractible experiments.
 
 Three decidable orders are provided: containment of column spaces (which
-characterizes comparison of implementable sets), containment of conic spans
-(sufficient for indirect-cost dominance), and the complete likelihood-ratio
-characterization of indirect-cost dominance for binary-state experiments
-with two realizations.  Blackwell comparison lives with the experiment type
-itself in :mod:`infocontracts.experiments`.
+characterizes comparison of implementable sets, decided by ranks),
+containment of conic spans (sufficient for indirect-cost dominance, decided
+by one nonnegative-solve LP per direction), and the complete
+likelihood-ratio characterization of indirect-cost dominance for
+binary-state experiments with two realizations.  Blackwell comparison lives
+with the experiment type itself in :mod:`infocontracts.experiments` and uses
+the same LP with row-stochastic rows added.
 
 A general decision procedure for indirect-cost dominance beyond the
 binary-binary case is deliberately not offered: outside that case only the
@@ -17,12 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateExperimentError, DimensionMismatchError, InputError
-from .numerics import LpProblem, LpStatus, matrix_rank, solve_lp
+from .errors import DegenerateExperimentError, DimensionMismatchError
+from .numerics import matrix_rank, nonnegative_solve
 
 
 class Relation(Enum):
@@ -95,35 +96,14 @@ def _check_same_states(a: np.ndarray, b: np.ndarray) -> None:
         )
 
 
-def cone_coefficients(a: np.ndarray, target: np.ndarray) -> Optional[np.ndarray]:
-    """Nonnegative v with ``a @ v = target``, or None if the cone misses it."""
-    m = a.shape[1]
-    problem = LpProblem(c=np.zeros(m), a_eq=a, b_eq=target, bounds=(0, None))
-    sol = solve_lp(problem)
-    if sol.status is LpStatus.OPTIMAL:
-        return sol.x
-    if sol.status is LpStatus.INFEASIBLE:
-        return None
-    raise InputError(f"cone membership LP did not resolve: {sol.message}")
-
-
-def _cone_contains(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
-    """Nonnegative G with a @ G = b when Cone(a) contains every column of b."""
-    cols = []
-    for j in range(b.shape[1]):
-        v = cone_coefficients(a, b[:, j])
-        if v is None:
-            return None
-        cols.append(v)
-    return np.column_stack(cols)
-
-
 def cone_compare(e, f) -> OrderVerdict:
-    """Compare conic spans: one LP membership test per column, each way."""
+    """Compare conic spans: Cone(a) contains Cone(b) iff some ``G >= 0``
+    has ``a @ G = b``, decided by one LP per direction.  Dominance
+    certificates carry ``G``, one column of coefficients per column of b."""
     a, b = _kernel(e), _kernel(f)
     _check_same_states(a, b)
-    g_fwd = _cone_contains(a, b)
-    g_bwd = _cone_contains(b, a)
+    g_fwd = nonnegative_solve(a, b)
+    g_bwd = nonnegative_solve(b, a)
     return assemble_verdict(
         "cone", g_fwd is not None, g_bwd is not None,
         {"coefficients": g_fwd} if g_fwd is not None else None,

@@ -2,13 +2,15 @@
 
 The oracles here deliberately avoid the library's own kernels: rank is
 recomputed by exact fraction Gaussian elimination, LPs by brute-force vertex
-enumeration, so agreement is a genuine two-route check.
+enumeration or posed straight to ``scipy.optimize.linprog``, so agreement is
+a genuine two-route check.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
+from scipy.optimize import linprog
 
 from infocontracts import Belief, Experiment, PosteriorDistribution, entropy_cost
 
@@ -183,3 +185,78 @@ def grid_search_corner_verdict(e, target, cost, zero_state, n_grid=2001):
     spacing = span / (n_grid - 1)
     threshold = 2.0 * spacing + 1e-9
     return best <= threshold, best, threshold
+
+
+def direct_min_payment(kernel, target, nabla) -> float:
+    """Cheapest limited-liability expected payment, by one LP posed straight
+    to scipy.
+
+    Variables: payments T >= 0 (M x K, column by column), a free multiplier
+    lambda (N), and eta >= 0 on the cells a posterior rules out.
+    Constraints: kernel @ T_k - lambda + eta_k = nabla_k for every report k.
+    Objective: the expected payment under honest reports.
+    """
+    kernel = np.asarray(kernel, dtype=float)
+    n, m = kernel.shape
+    posts = target.posterior_matrix()
+    k = posts.shape[1]
+    free = (posts < 1e-9).flatten(order="F")
+    a_eq = np.hstack([
+        np.kron(np.eye(k), kernel),
+        -np.kron(np.ones((k, 1)), np.eye(n)),
+        np.eye(n * k)[:, free],
+    ])
+    c = np.concatenate([((posts * target.weights).T @ kernel).reshape(-1),
+                        np.zeros(n + int(free.sum()))])
+    bounds = [(0, None)] * (m * k) + [(None, None)] * n + [(0, None)] * int(free.sum())
+    res = linprog(c, A_eq=a_eq, b_eq=np.asarray(nabla).flatten(order="F"),
+                  bounds=bounds, method="highs")
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+def equal_rows_instance(rng):
+    """3x3 kernel whose first two rows coincide (rank 2, one-dimensional
+    null space) and an entropy target at a Dirichlet prior that is
+    implementable by construction: the target's experiment cannot tell
+    states 1 and 2 apart either, so its log-posterior differences keep equal
+    first two coordinates."""
+    r, s = random_stochastic(rng, 2, 3)
+    q_row, u_row = random_stochastic(rng, 2, 3)
+    prior = random_interior_prior(rng, 3)
+    q = np.vstack([q_row, q_row, u_row])
+    unconditional = prior.probs @ q
+    posts = prior.probs[:, None] * q / unconditional
+    target = PosteriorDistribution(posts.T, unconditional)
+    return Experiment(np.vstack([r, r, s])), target, entropy_cost(prior)
+
+
+def corner_multiplier_instance(rng):
+    """Rank-2 3x2 kernel and a quadratic-cost corner target at a Dirichlet
+    prior that is implementable only with a positive boundary multiplier.
+
+    The first posterior rules out state z.  The kernel's first column is an
+    affine function of the marginal-cost difference minus a * e_z (a > 0),
+    so Col(kernel) = span{1, first column} contains that difference once
+    the multiplier a is subtracted.
+    """
+    from infocontracts import quadratic_cost
+
+    prior = random_interior_prior(rng, 3, low=0.15).probs
+    scale = rng.uniform(0.5, 2.0)
+    while True:
+        z = int(rng.integers(3))
+        mu1 = np.zeros(3)
+        others = [i for i in range(3) if i != z]
+        split = rng.uniform(0.15, 0.85)
+        mu1[others[0]], mu1[others[1]] = split, 1.0 - split
+        w1 = rng.uniform(0.1, 0.4)
+        mu2 = (prior - w1 * mu1) / (1.0 - w1)
+        if mu2.min() >= 0.02:
+            break
+    direction = 2.0 * scale * (mu1 - mu2)
+    direction[z] -= rng.uniform(0.2, 1.0) * scale
+    direction -= direction.mean()
+    first = 0.5 + rng.uniform(0.2, 0.4) * rng.choice([-1.0, 1.0]) * direction / np.abs(direction).max()
+    target = PosteriorDistribution([mu1, mu2], [w1, 1.0 - w1])
+    return Experiment(np.column_stack([first, 1.0 - first])), target, quadratic_cost(Belief(prior), scale)

@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 from helpers import (
+    corner_multiplier_instance,
+    direct_min_payment,
+    equal_rows_instance,
     random_binary_experiment,
     random_binary_target,
     random_interior_prior,
@@ -15,14 +18,19 @@ from infocontracts import (
     Belief,
     Contract,
     DegenerateExperimentError,
+    LpSolution,
+    LpStatus,
+    SolverFailureError,
     DimensionMismatchError,
     Experiment,
     NotImplementableError,
     PosteriorDistribution,
     binary_rent_profile,
+    check_implementable,
     entropy_cost,
     expected_payment,
     first_best_contract,
+    marginal_cost_matrix,
     optimal_contract,
     posteriors,
     rowmin,
@@ -283,3 +291,73 @@ def test_contract_serialization_round_trip(binary_instance):
     clone = Contract.from_dict(data)
     np.testing.assert_allclose(clone.payments, report.contract.payments)
     assert clone.limited_liability
+
+
+def _assert_kappa_is_direct_optimum(e, target, cost):
+    report = optimal_contract(e, target, cost)
+    optimum = direct_min_payment(e.kernel, target, marginal_cost_matrix(cost, target).matrix)
+    assert report.payment_check == pytest.approx(optimum, rel=1e-8, abs=1e-10)
+    assert report.kappa == pytest.approx(optimum, rel=1e-8, abs=1e-10)
+    assert report.agency_rent == pytest.approx(report.kappa - report.first_best, abs=1e-12)
+    assert report.agency_rent >= -1e-9
+    return report
+
+
+def test_kappa_matches_direct_lp_on_equal_row_kernels_at_dirichlet_priors():
+    # Rank-2 3x3 kernels: the prior lies outside Col(kernel), so the base
+    # term pinv @ nabla does not cost exactly the information cost.
+    rng = np.random.default_rng(23)
+    for _ in range(30):
+        e, target, cost = equal_rows_instance(rng)
+        _assert_kappa_is_direct_optimum(e, target, cost)
+
+
+def test_kappa_matches_direct_lp_on_corner_targets_with_positive_multiplier():
+    rng = np.random.default_rng(29)
+    for _ in range(30):
+        e, target, cost = corner_multiplier_instance(rng)
+        assert check_implementable(e, target, cost).eta.max() > 1e-3
+        report = _assert_kappa_is_direct_optimum(e, target, cost)
+        assert report.mode == "corner"
+
+
+def test_roundoff_negative_payment_is_a_solver_failure(monkeypatch):
+    # A payment a hair below the clamp window is solver roundoff, not a
+    # malformed contract: it must surface as a solver failure.
+    from infocontracts import contracts
+
+    rng = np.random.default_rng(31)
+    e, target, cost = equal_rows_instance(rng)
+    real = contracts.solve_lp
+
+    def dusty(problem, *args, **kwargs):
+        sol = real(problem, *args, **kwargs)
+        x = sol.x.copy()
+        x[0] = -1.04e-10
+        return LpSolution(LpStatus.OPTIMAL, x, sol.objective)
+
+    monkeypatch.setattr(contracts, "solve_lp", dusty)
+    with pytest.raises(SolverFailureError, match="negative payment"):
+        optimal_contract(e, target, cost)
+    monkeypatch.setattr(contracts, "solve_lp",
+                        lambda *a, **k: LpSolution(LpStatus.FAILED, None, None, message="stalled"))
+    with pytest.raises(SolverFailureError, match="stalled"):
+        optimal_contract(e, target, cost)
+
+
+def test_optimal_contract_factors_the_kernel_once(monkeypatch):
+    rng = np.random.default_rng(37)
+    kernel = random_stochastic(rng, 4, 6)
+    prior = Belief(rng.dirichlet(np.full(4, 4.0)))
+    target = posteriors(Experiment(random_stochastic(rng, 4, 3)), prior)
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    report = optimal_contract(Experiment(kernel), target, entropy_cost(prior))
+    assert report.implementable
+    assert calls == [(4, 6)]

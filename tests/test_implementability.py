@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from helpers import (
     corner_instance,
+    corner_multiplier_instance,
     grid_search_corner_verdict,
     random_stochastic,
     tilted_implementable_target,
@@ -12,8 +13,11 @@ from infocontracts import (
     BoundaryMarginalCostError,
     Experiment,
     InputError,
+    LpSolution,
+    LpStatus,
     PosteriorDistribution,
     Relation,
+    SolverFailureError,
     check_implementable,
     check_implementable_corner,
     check_no_dominance,
@@ -322,3 +326,14 @@ def test_bayes_inconsistent_target_is_rejected():
         [[1 / 4, 1 / 4, 1 / 2], [5 / 12, 5 / 12, 1 / 6]], [0.9, 0.1])
     with pytest.raises(InputError):
         check_implementable(RANK2_EQUAL_ROWS, lopsided, cost)
+
+
+def test_corner_lp_without_a_trustworthy_answer_is_a_solver_failure(monkeypatch):
+    from infocontracts import implementability
+
+    e, target, cost = corner_multiplier_instance(np.random.default_rng(41))
+    monkeypatch.setattr(implementability, "solve_lp",
+                        lambda *a, **k: LpSolution(LpStatus.FAILED, None, None, message="stalled"))
+    for check in (check_implementable, check_implementable_corner):
+        with pytest.raises(SolverFailureError, match="boundary-multiplier LP"):
+            check(e, target, cost)

@@ -205,3 +205,42 @@ def test_lp_exposes_duals_consistent_with_weak_duality():
     assert sol.dual_ub is not None
     dual_value = float(problem.b_ub @ sol.dual_ub)
     assert dual_value <= sol.objective + 1e-9
+
+
+def test_one_svd_yields_projector_and_null_basis():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        rows, cols = rng.integers(1, 8, size=2)
+        a = rng.normal(size=(rows, cols))
+        if rows > 1 and rng.random() < 0.5:
+            a[rng.integers(rows)] = a[rng.integers(rows)]
+        result = pseudo_inverse(a)
+        basis = result.null_basis
+        assert basis.shape == (cols, cols - result.rank)
+        np.testing.assert_allclose(a @ basis, 0.0, atol=1e-10)
+        np.testing.assert_allclose(basis.T @ basis, np.eye(basis.shape[1]), atol=1e-12)
+        np.testing.assert_allclose(result.projector, a @ result.pinv, atol=1e-10)
+
+
+def test_bounds_check_agrees_with_a_per_variable_loop():
+    from infocontracts.numerics import _bounds_violation
+
+    def reference(x, bounds):
+        if isinstance(bounds, tuple):
+            bounds = [bounds] * x.size
+        worst = 0.0
+        for xi, (lo, hi) in zip(x, bounds):
+            if lo is not None:
+                worst = max(worst, lo - xi)
+            if hi is not None:
+                worst = max(worst, xi - hi)
+        return worst
+
+    rng = np.random.default_rng(13)
+    choices = [None, -1.0, 0.0, 0.5, 2.0]
+    for _ in range(300):
+        n = int(rng.integers(1, 7))
+        x = rng.normal(size=n)
+        pairs = [(choices[rng.integers(5)], choices[rng.integers(5)]) for _ in range(n)]
+        for bounds in (pairs, pairs[0]):
+            assert _bounds_violation(x, bounds) == reference(x, bounds)

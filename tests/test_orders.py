@@ -14,8 +14,11 @@ from infocontracts import (
     DegenerateExperimentError,
     DimensionMismatchError,
     Experiment,
+    LpSolution,
+    LpStatus,
     PosteriorDistribution,
     Relation,
+    SolverFailureError,
     binary_k_compare,
     binary_likelihood_ratios,
     blackwell_compare,
@@ -171,3 +174,33 @@ def test_binary_cost_order_predicts_kappa_ordering():
         kappa_f = optimal_contract(f, target, cost).kappa
         assert kappa_e <= kappa_f + 1e-9
         instances += 1
+
+
+def test_cone_compare_runs_one_lp_per_direction(monkeypatch):
+    from infocontracts import numerics
+
+    rng = np.random.default_rng(113)
+    a = random_stochastic(rng, 3, 4)
+    b = a @ random_stochastic(rng, 4, 4)          # inside Cone(a): every column is checked
+    calls = []
+    real = numerics.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["A_eq"].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(numerics, "linprog", counted)
+    verdict = cone_compare(Experiment(a), Experiment(b))
+    assert verdict.dominates_weakly
+    assert calls == [(12, 16), (12, 16)]
+    np.testing.assert_allclose(a @ verdict.certificate["coefficients"], b, atol=1e-9)
+
+
+def test_order_lps_without_a_trustworthy_answer_are_solver_failures(monkeypatch):
+    from infocontracts import numerics
+
+    monkeypatch.setattr(numerics, "solve_lp",
+                        lambda *a, **k: LpSolution(LpStatus.FAILED, None, None, message="stalled"))
+    for compare in (cone_compare, blackwell_compare):
+        with pytest.raises(SolverFailureError, match="stalled"):
+            compare(BINARY, BINARY_SKEWED)
