@@ -4,8 +4,9 @@ Every command is a thin wrapper over the library: inputs are JSON files (or
 ``-`` for stdin), outputs are JSON (default) or plain-text tables.  Exit
 codes: 0 on success, 2 on malformed input, 3 when a negative verdict must
 fail the pipeline (``implementable --strict``, or ``contract`` on a target
-that cannot be implemented).  Every option can also be supplied through an
-``INFOCONTRACTS_``-prefixed environment variable.
+that cannot be implemented), 4 when the LP solver gives no trustworthy
+answer.  Every option can also be supplied through an ``INFOCONTRACTS_``-
+prefixed environment variable.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from contextlib import contextmanager
 
 import click
 
@@ -25,7 +27,7 @@ from .contracts import (
     optimal_contract,
 )
 from .costs import cost_from_dict, entropy_cost, total_cost
-from .errors import InputError, NotImplementableError
+from .errors import InputError, NotImplementableError, SolverFailureError
 from .experiments import Belief, Experiment, PosteriorDistribution, blackwell_compare, posteriors
 from .implementability import check_implementable
 from .oracle import GridSpec, agent_best_response
@@ -36,6 +38,21 @@ CONTEXT_SETTINGS = {"auto_envvar_prefix": "INFOCONTRACTS"}
 
 class CliInputError(click.ClickException):
     exit_code = 2
+
+
+class CliSolverError(click.ClickException):
+    exit_code = 4
+
+
+@contextmanager
+def _library_errors():
+    """Turn the library's typed failures into clean CLI exits."""
+    try:
+        yield
+    except InputError as exc:
+        raise CliInputError(str(exc)) from exc
+    except SolverFailureError as exc:
+        raise CliSolverError(f"solver failure: {exc}") from exc
 
 
 def _load_json(path: str, what: str) -> dict:
@@ -145,11 +162,9 @@ def cmd_implementable(experiment_path, target_path, cost_path, strict, tol_resid
     e_p = _load_experiment(experiment_path)
     cost = _load_cost(cost_path)
     target = _load_target(target_path, cost.prior)
-    try:
+    with _library_errors():
         report = check_implementable(e_p, target, cost, residual_tol=tol_residual,
                                      rank_tol=tol_rank, lp_tol=tol_lp)
-    except InputError as exc:
-        raise CliInputError(str(exc)) from exc
 
     def as_table(payload):
         lines = [f"implementable: {payload['implementable']}", f"mode: {payload['mode']}"]
@@ -185,25 +200,24 @@ def cmd_contract(experiment_path, target_path, cost_path, no_ll, verify, grid,
     target = _load_target(target_path, cost.prior)
     contract = None
     failed = False
-    try:
-        if no_ll:
-            contract = first_best_contract(e_p, target, cost, rank_tol=tol_rank)
-            payload = {
-                "contract": contract.to_dict(),
-                "expected_payment": expected_payment(e_p, target, cost.prior, contract),
-                "first_best": total_cost(cost, target),
-                "limited_liability": False,
-            }
-        else:
-            report = optimal_contract(e_p, target, cost, rank_tol=tol_rank, lp_tol=tol_lp)
-            contract = report.contract
-            payload = report.to_dict()
-            failed = not report.implementable
-    except NotImplementableError as exc:
-        payload = {"kappa": math.inf, "reason": str(exc)}
-        failed = True
-    except InputError as exc:
-        raise CliInputError(str(exc)) from exc
+    with _library_errors():
+        try:
+            if no_ll:
+                contract = first_best_contract(e_p, target, cost, rank_tol=tol_rank)
+                payload = {
+                    "contract": contract.to_dict(),
+                    "expected_payment": expected_payment(e_p, target, cost.prior, contract),
+                    "first_best": total_cost(cost, target),
+                    "limited_liability": False,
+                }
+            else:
+                report = optimal_contract(e_p, target, cost, rank_tol=tol_rank, lp_tol=tol_lp)
+                contract = report.contract
+                payload = report.to_dict()
+                failed = not report.implementable
+        except NotImplementableError as exc:
+            payload = {"kappa": math.inf, "reason": str(exc)}
+            failed = True
 
     if verify and contract is not None:
         result = agent_best_response(e_p, contract, cost, cost.prior,
@@ -250,10 +264,8 @@ def cmd_compare(order, first_path, second_path, fmt, output):
     """
     first = _load_experiment(first_path)
     second = _load_experiment(second_path)
-    try:
+    with _library_errors():
         verdict = _ORDERS[order](first, second)
-    except InputError as exc:
-        raise CliInputError(str(exc)) from exc
 
     def as_table(payload):
         return f"order: {payload['order']}\nrelation: {payload['relation']}" + (
@@ -278,11 +290,9 @@ def cmd_oracle(experiment_path, cost_path, contract_path, target_path, grid, fmt
     cost = _load_cost(cost_path)
     contract = _load_contract(contract_path)
     target = None if target_path is None else _load_target(target_path, cost.prior)
-    try:
+    with _library_errors():
         result = agent_best_response(e_p, contract, cost, cost.prior,
                                      grid=GridSpec(resolution=grid), target=target)
-    except InputError as exc:
-        raise CliInputError(str(exc)) from exc
 
     def as_table(payload):
         lines = [f"optimal value: {_fmt(payload['optimal_value'])}"]

@@ -25,7 +25,7 @@ from .errors import (
     SolverFailureError,
 )
 from .experiments import Belief, Experiment, PosteriorDistribution, experiment_from_posteriors
-from .implementability import ImplementabilityReport, check_implementable
+from .implementability import ImplementabilityReport, check_implementable, difference_operator
 from .numerics import LpProblem, LpStatus, PseudoInverse, solve_lp
 from .orders import binary_likelihood_ratios
 
@@ -232,13 +232,14 @@ def optimal_contract(e_p: Experiment, target: PosteriorDistribution,
                      lp_tol: float | None = None) -> CostReport:
     """Cheapest limited-liability contract implementing ``target``.
 
-    When the kernel has no null space the optimum is closed-form: shift the
-    base contract by minus its row minima, so every realization leaves at
-    least one report unpaid.  Otherwise side bets exist (deficient row rank,
-    or more realizations than states) and the payments are optimized
-    directly by an LP: ``T >= 0`` such that ``kernel @ T_k - lambda =
-    nabla_k`` for every report ``k`` and some multiplier ``lambda``,
-    minimizing the expected payment.  The reported cost is
+    When the kernel has no null space, or the target has a single
+    posterior, the optimum is closed-form: shift the base contract by minus
+    its row minima, so every realization leaves at least one report unpaid.
+    Otherwise side bets exist (deficient row rank, or more realizations
+    than states) and the payments are optimized directly by an LP:
+    ``T >= 0`` such that ``kernel @ T_k - lambda = nabla_k`` for every
+    report ``k`` and some multiplier ``lambda``, minimizing the expected
+    payment.  The reported cost is
     ``first_best + mu0 . lambda(T*)``, which equals the expected payment of
     the optimal contract (re-evaluated independently as ``payment_check``).
     """
@@ -250,7 +251,8 @@ def optimal_contract(e_p: Experiment, target: PosteriorDistribution,
             contract=None, mode=report.mode, reason=report.reason,
         )
     family = _family(e_p, report)
-    if family.null_basis.shape[1] == 0:
+    # A single report needs no incentive: the shift pays nothing.
+    if family.null_basis.shape[1] == 0 or target.size == 1:
         payments = family.base - rowmin(family.base)[:, None]
     else:
         payments = _min_payment_lp(e_p.kernel, target, family.nabla, lp_tol)
@@ -276,12 +278,12 @@ def optimal_contract(e_p: Experiment, target: PosteriorDistribution,
 def _min_payment_lp(kernel, target, nabla, lp_tol) -> np.ndarray:
     """Payments ``T >= 0`` (M x K) minimizing the expected payment subject
     to ``kernel @ T_k - lambda = nabla_k`` for every report ``k``.  The free
-    multiplier ``lambda`` is eliminated against the last report: with
-    ``D = [I; -1']`` taking column differences, the constraint is
-    ``kernel @ T @ D = nabla @ D``, i.e. ``kron(D', kernel) vec(T) = vec(nabla @ D)``
-    with ``T`` flattened column by column."""
+    multiplier ``lambda`` is eliminated by the column-difference operator
+    ``D`` of :func:`difference_operator`: ``kernel @ T @ D = nabla @ D``,
+    i.e. ``kron(D', kernel) vec(T) = vec(nabla @ D)`` with ``T`` flattened
+    column by column.  Needs at least two reports."""
     m, k = kernel.shape[1], nabla.shape[1]
-    d = np.vstack([np.eye(k - 1), -np.ones((1, k - 1))])
+    d = difference_operator(k)
     weighted = target.posterior_matrix() * target.weights
     lp = LpProblem(c=(weighted.T @ kernel).reshape(-1), a_eq=np.kron(d.T, kernel),
                    b_eq=(nabla @ d).flatten(order="F"), bounds=(0, None))

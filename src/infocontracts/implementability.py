@@ -102,6 +102,14 @@ def _check_spaces(e_p: Experiment, target: PosteriorDistribution,
         raise InputError("target must average back to the cost's prior (Bayes plausibility)")
 
 
+def difference_operator(k: int) -> np.ndarray:
+    """``D = [I; -1']`` (K x K-1): ``X @ D`` holds the differences of the
+    columns of ``X`` against its last column.  Applied to the agent's
+    first-order condition ``kernel @ T_k - lambda = nabla_k`` for every
+    report ``k``, it eliminates the free multiplier ``lambda``."""
+    return np.vstack([np.eye(k - 1), -np.ones((1, k - 1))])
+
+
 def _lambda_from(nabla: np.ndarray, projector: np.ndarray) -> np.ndarray:
     # Multiplier of the canonical member of the contract family (free term
     # zero): minus the out-of-column-space component, averaged over columns.
@@ -176,16 +184,18 @@ def _decide(e_p, target, cost, residual_tol, rank_tol, lp_tol, corner: bool) -> 
             reason="full row rank: any finite-cost target is implementable",
         )
 
-    diffs = nabla[:, :-1] - nabla[:, -1:]
+    d = difference_operator(k)
+    diffs = nabla @ d
     norms = np.linalg.norm(diffs, axis=0)
+    projector = fact.projector
     # In corner mode eta may be positive where a posterior rules its state out.
     free = (posterior_matrix < INTERIOR_THRESHOLD).flatten(order="F") & corner
     eta = np.zeros((n, k))
     if free.any():
-        eta, ok = _fit_multipliers(fact.projector, diffs, free, residual_tol, lp_tol)
+        eta, ok = _fit_multipliers(projector, diffs, d, free, residual_tol, lp_tol)
     adjusted = nabla - eta
-    adj_diffs = adjusted[:, :-1] - adjusted[:, -1:]
-    residuals = np.linalg.norm(adj_diffs - fact.projector @ adj_diffs, axis=0)
+    adj_diffs = adjusted @ d
+    residuals = np.linalg.norm(adj_diffs - projector @ adj_diffs, axis=0)
     if not free.any():
         ok = bool(np.all(residuals <= residual_tol * norms + _RESIDUAL_FLOOR))
     reason = ("" if ok else
@@ -194,23 +204,21 @@ def _decide(e_p, target, cost, residual_tol, rank_tol, lp_tol, corner: bool) -> 
               "a marginal-cost difference leaves the kernel's column space")
     return ImplementabilityReport(
         implementable=ok, mode=mode, residuals=residuals, diff_norms=norms,
-        lambda_certificate=_lambda_from(adjusted, fact.projector) if ok else None,
+        lambda_certificate=_lambda_from(adjusted, projector) if ok else None,
         eta=eta if ok and corner else None, tolerance=residual_tol,
         full_row_rank=False, reason=reason, factorization=fact, marginal_costs=nabla,
     )
 
 
-def _fit_multipliers(projector, diffs, free, residual_tol, lp_tol) -> tuple[np.ndarray, bool]:
+def _fit_multipliers(projector, diffs, d, free, residual_tol, lp_tol) -> tuple[np.ndarray, bool]:
     """Boundary-multiplier LP: ``eta >= 0`` on the ``free`` cells (flattened
     column by column) minimizing the l1 norm of the projection residuals of
-    the columns of ``diffs - (eta[:, :-1] - eta[:, -1:])``.  Returns the
-    optimal ``eta`` and the verdict."""
-    n, k = diffs.shape[0], diffs.shape[1] + 1
+    the columns of ``diffs - eta @ d``.  Returns the optimal ``eta`` and the
+    verdict."""
+    n, k = diffs.shape[0], d.shape[0]
     complement = np.eye(n) - projector
     rhs = (complement @ diffs).flatten(order="F")       # stacked per column block
-    # vec(C @ eta @ D) = kron(D', C) vec(eta), with D = [I; -1'] taking
-    # column differences against the last column.
-    d = np.vstack([np.eye(k - 1), -np.ones((1, k - 1))])
+    # vec(C @ eta @ D) = kron(D', C) vec(eta).
     coef = np.kron(d.T, complement)[:, free]
     n_eta, n_rows = coef.shape[1], rhs.size
 

@@ -48,19 +48,21 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
 @dataclass(frozen=True)
 class PseudoInverse:
     """Moore-Penrose pseudo-inverse of a dense matrix, its SVD rank, and
-    the subspaces that one SVD yields.
+    an orthonormal basis of its null space from the same SVD.
 
     ``projector`` is ``source @ pinv``, the orthogonal projector onto the
-    column space of ``source``; the columns of ``null_basis`` are an
-    orthonormal basis of its null space.
+    column space of ``source``.
     """
 
     source: np.ndarray
     pinv: np.ndarray
     rank: int
     singular_values: np.ndarray
-    projector: np.ndarray
     null_basis: np.ndarray
+
+    @property
+    def projector(self) -> np.ndarray:
+        return self.source @ self.pinv
 
     def column_space_residual(self, v) -> float:
         """Euclidean norm of the component of ``v`` outside Col(source)."""
@@ -69,48 +71,56 @@ class PseudoInverse:
             raise DimensionMismatchError(
                 f"vector of size {vec.size} vs {self.source.shape[0]} rows"
             )
-        return float(np.linalg.norm(vec - self.projector @ vec))
+        return float(np.linalg.norm(vec - self.source @ (self.pinv @ vec)))
+
+
+def _svd(arr: np.ndarray, rank_tol: float | None, full_matrices: bool = False):
+    """The package's only SVD: ``(u, s, vt, rank)`` with singular values
+    above ``sigma_max * max(shape) * rank_tol`` counted in the rank."""
+    if rank_tol is None:
+        rank_tol = RANK_TOL_FACTOR
+    if rank_tol <= 0:
+        raise InputError("rank_tol must be positive")
+    u, s, vt = np.linalg.svd(arr, full_matrices=full_matrices)
+    cutoff = (s[0] * max(arr.shape) * rank_tol) if s.size and s[0] > 0 else 0.0
+    # Denormal singular values overflow on inversion; they are zero at any
+    # representable scale.
+    cutoff = max(cutoff, np.finfo(float).smallest_normal)
+    return u, s, vt, int(np.count_nonzero(s > cutoff))
 
 
 def pseudo_inverse(a, rank_tol: float | None = None) -> PseudoInverse:
     """SVD pseudo-inverse with a relative rank cutoff.
 
-    Singular values above ``sigma_max * max(shape) * rank_tol`` are kept;
     ``rank_tol`` defaults to ``RANK_TOL_FACTOR``.  The returned object
-    satisfies the four Penrose identities to ~1e-10 relative.  This is the
-    package's only SVD: every rank, projector and null-space basis comes
-    from here.
+    satisfies the four Penrose identities to ~1e-10 relative.  Every rank,
+    projector and null-space basis of the package comes from one SVD.
     """
     arr = as_matrix(a)
-    if rank_tol is None:
-        rank_tol = RANK_TOL_FACTOR
-    if rank_tol <= 0:
-        raise InputError("rank_tol must be positive")
-    u, s, vt = np.linalg.svd(arr, full_matrices=True)
-    cutoff = (s[0] * max(arr.shape) * rank_tol) if s.size and s[0] > 0 else 0.0
-    # Denormal singular values overflow on inversion; they are zero at any
-    # representable scale.
-    cutoff = max(cutoff, np.finfo(float).smallest_normal)
-    rank = int(np.count_nonzero(s > cutoff))
-    u_kept, vt_kept = u[:, :rank], vt[:rank]
-    pinv = (vt_kept.T / s[:rank]) @ u_kept.T
-    projector = u_kept @ u_kept.T
+    # Only a wide matrix needs the full V for its null basis; a tall one
+    # keeps the reduced factors, so nothing N x N is built.
+    u, s, vt, rank = _svd(arr, rank_tol, full_matrices=arr.shape[0] < arr.shape[1])
+    pinv = (vt[:rank].T / s[:rank]) @ u[:, :rank].T
     null_basis = vt[rank:].T.copy()
     sv = s.copy()
     arr = arr.copy()
-    for m in (arr, pinv, sv, projector, null_basis):
+    for m in (arr, pinv, sv, null_basis):
         m.setflags(write=False)
     return PseudoInverse(source=arr, pinv=pinv, rank=rank, singular_values=sv,
-                         projector=projector, null_basis=null_basis)
+                         null_basis=null_basis)
 
 
 def column_space_residual(a, v, rank_tol: float | None = None) -> float:
     """``||(I - A A^+) v||``: zero (up to tolerance) iff v lies in Col(A)."""
-    return pseudo_inverse(a, rank_tol).column_space_residual(v)
+    arr, vec = as_matrix(a), as_vector(v)
+    if vec.size != arr.shape[0]:
+        raise DimensionMismatchError(f"vector of size {vec.size} vs {arr.shape[0]} rows")
+    u, _, _, rank = _svd(arr, rank_tol)
+    return float(np.linalg.norm(vec - u[:, :rank] @ (u[:, :rank].T @ vec)))
 
 
 def matrix_rank(a, rank_tol: float | None = None) -> int:
-    return pseudo_inverse(a, rank_tol).rank
+    return _svd(as_matrix(a), rank_tol)[3]
 
 
 class LpStatus(Enum):

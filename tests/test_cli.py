@@ -258,3 +258,27 @@ def test_contract_json_round_trips_through_oracle_command(runner, tmp_path):
     result = runner.invoke(main, oracle_args)
     assert result.exit_code == 0, result.output
     assert json.loads(result.output)["gap"] <= 1e-5
+
+
+def test_solver_failures_exit_4_without_a_traceback(runner, tmp_path, monkeypatch):
+    from infocontracts import LpSolution, LpStatus, contracts, numerics
+
+    def stalled(*args, **kwargs):
+        return LpSolution(LpStatus.FAILED, None, None, message="stalled")
+
+    monkeypatch.setattr(numerics, "solve_lp", stalled)
+    monkeypatch.setattr(contracts, "solve_lp", stalled)
+    side_bets = {"kernel": [[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]]}
+    runs = [
+        ["compare", "--order", "cone",
+         "--first", write(tmp_path, "a.json", BINARY),
+         "--second", write(tmp_path, "b.json", BINARY_SKEWED)],
+        ["contract",
+         "--experiment", write(tmp_path, "e.json", side_bets),
+         "--target", write(tmp_path, "t.json", BINARY_TARGET),
+         "--cost", write(tmp_path, "c.json", ENTROPY2)],
+    ]
+    for args in runs:
+        result = runner.invoke(main, args)
+        assert result.exit_code == 4, result.output
+        assert "solver failure" in result.output and "stalled" in result.output

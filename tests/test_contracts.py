@@ -118,6 +118,22 @@ def test_optimal_contract_uninformative_target():
     assert report.kappa == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("kernel", [
+    [[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]],
+    [[0.4, 0.3, 0.2, 0.1], [0.1, 0.2, 0.3, 0.4], [0.25, 0.25, 0.25, 0.25]],
+])
+def test_uninformative_target_under_a_kernel_with_side_bets(kernel):
+    # A single report needs no incentive, also when the kernel has a null
+    # space (2x3, and a rank-2 3x4 kernel at a non-uniform prior).
+    n = len(kernel)
+    prior = Belief(np.arange(1, n + 1) / np.arange(1, n + 1).sum())
+    target = PosteriorDistribution([prior], [1.0])
+    report = optimal_contract(Experiment(kernel), target, entropy_cost(prior))
+    np.testing.assert_allclose(report.contract.payments, 0.0, atol=1e-12)
+    assert report.kappa == pytest.approx(0.0, abs=1e-12)
+    assert report.payment_check == pytest.approx(0.0, abs=1e-12)
+
+
 def test_optimal_contract_binary_closed_form(binary_instance):
     prior, cost, target = binary_instance
     report = optimal_contract(BINARY, target, cost)

@@ -222,6 +222,34 @@ def test_one_svd_yields_projector_and_null_basis():
         np.testing.assert_allclose(result.projector, a @ result.pinv, atol=1e-10)
 
 
+def test_only_a_null_basis_builds_full_factors(monkeypatch):
+    # Rank and residual queries keep the reduced SVD; a pseudo-inverse needs
+    # the full V only for the null basis of a wide matrix.  Nothing
+    # rows x rows is built for a tall one.
+    shapes = []
+    svd = np.linalg.svd
+
+    def recorded(*args, **kwargs):
+        u, s, vt = svd(*args, **kwargs)
+        shapes.append((u.shape, vt.shape))
+        return u, s, vt
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    tall = np.random.default_rng(17).normal(size=(3000, 3))
+    tall[:, 2] = tall[:, 0] + tall[:, 1]
+    for a in (tall, tall[:400].T):
+        shapes.clear()
+        rows, cols = a.shape
+        result = pseudo_inverse(a)
+        assert result.rank == matrix_rank(a) == 2
+        assert column_space_residual(a, a[:, 0]) < 1e-9
+        reduced = ((rows, 3), (3, cols))
+        assert shapes[1:] == [reduced, reduced]
+        assert shapes[0] == (reduced if rows > cols else ((rows, rows), (cols, cols)))
+        assert result.null_basis.shape == (cols, cols - 2)
+        np.testing.assert_allclose(a @ result.null_basis, 0.0, atol=1e-9)
+
+
 def test_bounds_check_agrees_with_a_per_variable_loop():
     from infocontracts.numerics import _bounds_violation
 
