@@ -219,11 +219,11 @@ def cmd_contract(experiment_path, target_path, cost_path, no_ll, verify, grid,
             payload = {"kappa": math.inf, "reason": str(exc)}
             failed = True
 
-    if verify and contract is not None:
-        result = agent_best_response(e_p, contract, cost, cost.prior,
-                                     grid=GridSpec(resolution=grid), target=target)
-        payload["oracle_gap"] = result.gap
-        payload["oracle_optimal_value"] = result.optimal_value
+        if verify and contract is not None:
+            result = agent_best_response(e_p, contract, cost, cost.prior,
+                                         grid=GridSpec(resolution=grid), target=target)
+            payload["oracle_gap"] = result.gap
+            payload["oracle_optimal_value"] = result.optimal_value
 
     def as_table(payload):
         lines = []

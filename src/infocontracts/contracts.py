@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import PosteriorCost, total_cost
+from .costs import PosteriorCost
 from .errors import (
     DimensionMismatchError,
     InputError,
@@ -244,7 +244,7 @@ def optimal_contract(e_p: Experiment, target: PosteriorDistribution,
     the optimal contract (re-evaluated independently as ``payment_check``).
     """
     report = check_implementable(e_p, target, cost, rank_tol=rank_tol, lp_tol=lp_tol)
-    first_best = total_cost(cost, target)
+    first_best = report.first_best
     if not report.implementable:
         return CostReport(
             kappa=math.inf, first_best=first_best, agency_rent=math.inf,
@@ -310,7 +310,7 @@ def first_best_contract(e_p: Experiment, target: PosteriorDistribution,
     denominator = float(prior @ projector @ np.ones(e_p.n_states))
     if abs(denominator) < 1e-12:
         raise InputError("degenerate bonus direction; cannot normalize the benchmark contract")
-    z = (total_cost(cost, target) - projected_cost) / denominator
+    z = (family.report.first_best - projected_cost) / denominator
     payments = family.base + z * (family.pinv.pinv @ np.ones(e_p.n_states))[:, None]
     return Contract(payments, limited_liability=False, realizations=e_p.realizations)
 

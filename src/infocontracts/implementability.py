@@ -57,10 +57,12 @@ class ImplementabilityReport:
     ``marginal_costs`` are the kernel's pseudo-inverse and the target's
     marginal-cost matrix the verdict was decided with (None when the target
     was rejected before either was computed), so that contract synthesis
-    can reuse them.
+    can reuse them.  ``first_best`` is the target's information cost
+    (``+inf`` when it is infinite).
     """
 
     implementable: bool
+    first_best: float
     mode: str                      # "interior" or "corner"
     residuals: np.ndarray
     diff_norms: np.ndarray
@@ -86,11 +88,11 @@ class ImplementabilityReport:
         }
 
 
-def _no(reason: str, mode: str, tol: float) -> ImplementabilityReport:
+def _no(reason: str, first_best: float, mode: str, tol: float) -> ImplementabilityReport:
     return ImplementabilityReport(
-        implementable=False, mode=mode, residuals=np.array([]), diff_norms=np.array([]),
-        lambda_certificate=None, eta=None, tolerance=tol, full_row_rank=False,
-        reason=reason,
+        implementable=False, first_best=first_best, mode=mode, residuals=np.array([]),
+        diff_norms=np.array([]), lambda_certificate=None, eta=None, tolerance=tol,
+        full_row_rank=False, reason=reason,
     )
 
 
@@ -153,8 +155,9 @@ def _decide(e_p, target, cost, residual_tol, rank_tol, lp_tol, corner: bool) -> 
     path, the projection-residual test when no multiplier is free, and the
     boundary-multiplier LP otherwise."""
     _check_spaces(e_p, target, cost)
-    if math.isinf(total_cost(cost, target)):
-        return _no("target has infinite information cost",
+    first_best = total_cost(cost, target)
+    if math.isinf(first_best):
+        return _no("target has infinite information cost", first_best,
                    "corner" if corner else "interior", residual_tol)
     posterior_matrix = target.posterior_matrix()
     if not corner and np.any(posterior_matrix < INTERIOR_THRESHOLD):
@@ -162,7 +165,7 @@ def _decide(e_p, target, cost, residual_tol, rank_tol, lp_tol, corner: bool) -> 
             return _no(
                 "target includes a boundary posterior but the cost's slope is "
                 "unbounded at the boundary, so such learning is never optimal",
-                "interior", residual_tol,
+                first_best, "interior", residual_tol,
             )
         corner = True
     mode = "corner" if corner else "interior"
@@ -177,7 +180,7 @@ def _decide(e_p, target, cost, residual_tol, rank_tol, lp_tol, corner: bool) -> 
     fact = pseudo_inverse(e_p.kernel, rank_tol)
     if fact.rank == n:
         return ImplementabilityReport(
-            implementable=True, mode=mode, residuals=np.array([]),
+            implementable=True, first_best=first_best, mode=mode, residuals=np.array([]),
             diff_norms=np.array([]), lambda_certificate=np.zeros(n),
             eta=np.zeros((n, k)) if corner else None, tolerance=residual_tol,
             full_row_rank=True, factorization=fact, marginal_costs=nabla,
@@ -203,8 +206,8 @@ def _decide(e_p, target, cost, residual_tol, rank_tol, lp_tol, corner: bool) -> 
               "into the kernel's column space" if free.any() else
               "a marginal-cost difference leaves the kernel's column space")
     return ImplementabilityReport(
-        implementable=ok, mode=mode, residuals=residuals, diff_norms=norms,
-        lambda_certificate=_lambda_from(adjusted, projector) if ok else None,
+        implementable=ok, first_best=first_best, mode=mode, residuals=residuals,
+        diff_norms=norms, lambda_certificate=_lambda_from(adjusted, projector) if ok else None,
         eta=eta if ok and corner else None, tolerance=residual_tol,
         full_row_rank=False, reason=reason, factorization=fact, marginal_costs=nabla,
     )

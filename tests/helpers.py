@@ -260,3 +260,31 @@ def corner_multiplier_instance(rng):
     first = 0.5 + rng.uniform(0.2, 0.4) * rng.choice([-1.0, 1.0]) * direction / np.abs(direction).max()
     target = PosteriorDistribution([mu1, mu2], [w1, 1.0 - w1])
     return Experiment(np.column_stack([first, 1.0 - first])), target, quadratic_cost(Belief(prior), scale)
+
+
+def grid_lp_best_response(e_p, contract, cost, prior, grid=None, target=None) -> float:
+    """The agent's grid optimum as one LP over every grid belief, posed
+    straight to scipy: the same grid and net values as the oracle, with no
+    column generation.  Returns the optimal value.
+
+    HiGHS's default feasibility tolerances (1e-7) can stop this LP up to
+    ~1e-8 below its optimum on 2-state grids of 2001 points, so they are
+    tightened to 1e-10."""
+    from infocontracts import GridSpec, simplex_grid
+
+    grid = grid or GridSpec()
+    n = e_p.n_states
+    points = [simplex_grid(n, grid.points_per_axis(n)), prior.probs[None, :]]
+    if target is not None:
+        points.append(target.posterior_matrix().T)
+    points += [np.asarray(getattr(b, "probs", b), dtype=float)[None, :] for b in grid.augment]
+    points = np.vstack(points)
+    values = (points @ e_p.kernel @ contract.payments).max(axis=1) - cost.value_many(points)
+    finite = np.isfinite(values)
+    points, values = points[finite], values[finite]
+    res = linprog(-values, A_eq=np.vstack([points.T, np.ones(len(points))]),
+                  b_eq=np.append(prior.probs, 1.0), bounds=(0, None), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert res.status == 0, res.message
+    return float(-res.fun)

@@ -7,6 +7,7 @@ from click.testing import CliRunner
 from infocontracts import (
     Belief,
     Experiment,
+    InputError,
     PosteriorDistribution,
     binary_rent_profile,
     check_implementable,
@@ -174,6 +175,8 @@ def test_oracle_command(runner, tmp_path):
     payload = json.loads(result.output)
     assert payload["gap"] is not None
     assert payload["n_grid_points"] >= 501
+    for key in ("lp_columns", "pricing_rounds"):
+        assert type(payload[key]) is int and payload[key] > 0
 
 
 def test_demo_binary_pair_reproduces_rent_table(runner):
@@ -277,6 +280,42 @@ def test_solver_failures_exit_4_without_a_traceback(runner, tmp_path, monkeypatc
          "--experiment", write(tmp_path, "e.json", side_bets),
          "--target", write(tmp_path, "t.json", BINARY_TARGET),
          "--cost", write(tmp_path, "c.json", ENTROPY2)],
+    ]
+    for args in runs:
+        result = runner.invoke(main, args)
+        assert result.exit_code == 4, result.output
+        assert "solver failure" in result.output and "stalled" in result.output
+
+
+def test_contract_verify_with_a_too_coarse_grid_exits_2(runner, tmp_path):
+    args = [
+        "contract", "--verify", "--grid", "50",
+        "--experiment", write(tmp_path, "e.json", BINARY),
+        "--target", write(tmp_path, "t.json", BINARY_TARGET),
+        "--cost", write(tmp_path, "c.json", ENTROPY2),
+    ]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "grid resolution" in result.output
+    assert not isinstance(result.exception, InputError)
+
+
+def test_oracle_solver_failures_exit_4(runner, tmp_path, monkeypatch):
+    from infocontracts import LpSolution, LpStatus, oracle
+
+    def stalled(*args, **kwargs):
+        return LpSolution(LpStatus.FAILED, None, None, message="stalled")
+
+    # Only the oracle's LP stalls: the binary contract is closed-form.
+    monkeypatch.setattr(oracle, "solve_lp", stalled)
+    experiment = write(tmp_path, "e.json", BINARY)
+    cost = write(tmp_path, "c.json", ENTROPY2)
+    contract = {"payments": [[2.0, 0.0], [0.0, 2.0]], "limited_liability": True}
+    runs = [
+        ["oracle", "--experiment", experiment, "--cost", cost,
+         "--contract", write(tmp_path, "k.json", contract)],
+        ["contract", "--verify", "--experiment", experiment, "--cost", cost,
+         "--target", write(tmp_path, "t.json", BINARY_TARGET)],
     ]
     for args in runs:
         result = runner.invoke(main, args)

@@ -377,3 +377,25 @@ def test_optimal_contract_factors_the_kernel_once(monkeypatch):
     report = optimal_contract(Experiment(kernel), target, entropy_cost(prior))
     assert report.implementable
     assert calls == [(4, 6)]
+
+
+def test_information_cost_is_priced_once_per_call(monkeypatch):
+    from infocontracts import contracts, implementability
+
+    e, target, cost = equal_rows_instance(np.random.default_rng(47))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return total_cost(*args, **kwargs)
+
+    monkeypatch.setattr(implementability, "total_cost", counted)
+    monkeypatch.setattr(contracts, "total_cost", counted, raising=False)
+    report = optimal_contract(e, target, cost)
+    assert len(calls) == 1
+    assert report.first_best == total_cost(cost, target)
+    calls.clear()
+    zero_rent = first_best_contract(e, target, cost)
+    assert len(calls) == 1
+    assert expected_payment(e, target, cost.prior, zero_rent) == pytest.approx(
+        report.first_best, abs=1e-9)

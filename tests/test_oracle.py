@@ -1,6 +1,13 @@
 import numpy as np
 import pytest
-from helpers import random_stochastic, tilted_implementable_target
+from helpers import (
+    corner_multiplier_instance,
+    equal_rows_instance,
+    grid_lp_best_response,
+    random_interior_prior,
+    random_stochastic,
+    tilted_implementable_target,
+)
 
 from infocontracts import (
     Belief,
@@ -8,12 +15,18 @@ from infocontracts import (
     Experiment,
     GridSpec,
     InputError,
+    LpSolution,
+    LpStatus,
     NotImplementableError,
+    SolverFailureError,
     agent_best_response,
+    custom_cost,
     entropy_cost,
     first_best_contract,
     optimal_contract,
+    oracle,
     posteriors,
+    quadratic_cost,
     simplex_grid,
     synthesize_family,
     verify_contract,
@@ -226,3 +239,168 @@ def test_grid_augmentation_and_spec_round_trip(binary_instance):
                                  grid=grid, target=target)
     # augmented points participate: grid carries base + prior + target + extra
     assert result.n_grid_points == 101 + 1 + 2 + 1
+
+
+def _grid_cases():
+    """(experiment, contract, cost, prior, grid, target) over every regime
+    the column-generation route must match the full grid LP on."""
+    rng = np.random.default_rng(41)
+    coarse = GridSpec(resolution=101)
+    cases = []
+    for _ in range(4):           # 3 states, Dirichlet priors, random contracts
+        prior = Belief(rng.dirichlet(np.full(3, 2.0)))
+        cost = entropy_cost(prior) if rng.random() < 0.5 else quadratic_cost(prior, rng.uniform(0.5, 2))
+        e = Experiment(random_stochastic(rng, 3, 3))
+        cases.append((e, Contract(rng.uniform(0, 2, (3, 3))), cost, prior, coarse, None))
+    for _ in range(4):           # 2 states, random contracts, default grid
+        prior = random_interior_prior(rng, 2)
+        cost = entropy_cost(prior) if rng.random() < 0.5 else quadratic_cost(prior, rng.uniform(0.5, 2))
+        e = Experiment(random_stochastic(rng, 2, 3))
+        cases.append((e, Contract(rng.uniform(0, 2, (3, 2))), cost, prior, GridSpec(), None))
+    for _ in range(3):           # rank-deficient equal-row kernels, optimal contracts
+        e, target, cost = equal_rows_instance(rng)
+        contract = optimal_contract(e, target, cost).contract
+        cases.append((e, contract, cost, cost.prior, coarse, target))
+    for _ in range(3):           # 3x2 corner kernels, quadratic cost, optimal contracts
+        e, target, cost = corner_multiplier_instance(rng)
+        contract = optimal_contract(e, target, cost).contract
+        cases.append((e, contract, cost, cost.prior, coarse, target))
+    e, target, cost = equal_rows_instance(rng)   # augment beliefs off the grid
+    extra = (Belief([0.1234, 0.4321, 0.4445]), Belief([0.7071, 0.1, 0.1929]))
+    cases.append((e, Contract(rng.uniform(0, 2, (3, 3))), cost, cost.prior,
+                  GridSpec(resolution=101, augment=extra), target))
+    prior = Belief([0.3, 0.3, 0.4])              # infinite price where mu_1 > 0.8
+    walled = custom_cost(
+        prior, lambda mu: np.inf if mu[0] > 0.8 else float(np.sum((mu - prior.probs) ** 2)),
+        lambda mu: 2.0 * (mu - prior.probs), strictly_convex=True,
+        infinite_boundary_slope=False, finite_on_boundary=False, validate=False,
+    )
+    cases.append((Experiment(np.eye(3)), Contract(np.diag([3.0, 1.0, 0.5])), walled, prior,
+                  coarse, None))
+    return cases
+
+
+@pytest.mark.parametrize("case", _grid_cases())
+def test_column_generation_matches_the_full_grid_lp(case):
+    e, contract, cost, prior, grid, target = case
+    result = agent_best_response(e, contract, cost, prior, grid=grid, target=target)
+    full = grid_lp_best_response(e, contract, cost, prior, grid=grid, target=target)
+    assert abs(result.optimal_value - full) <= 1e-9
+    weights = result.support_weights
+    support = np.array([b.probs for b in result.support_beliefs])
+    assert weights.min() >= 0.0
+    assert abs(weights.sum() - 1.0) <= 1e-9
+    np.testing.assert_allclose(weights @ support, prior.probs, rtol=0, atol=1e-9)
+    assert np.all(np.isfinite(cost.value_many(support)))
+
+
+def _spy_envelope(monkeypatch):
+    seen = {}
+    concavify = oracle._concavify
+
+    def spy(points, values, prior, start):
+        seen.update(points=points, values=values, start=start,
+                    envelope=concavify(points, values, prior, start))
+        return seen["envelope"]
+
+    monkeypatch.setattr(oracle, "_concavify", spy)
+    return seen
+
+
+def _plane_excess(seen) -> float:
+    """Largest amount by which a grid value exceeds the final dual plane,
+    and the tolerance the route stops at."""
+    points, values = seen["points"], seen["values"]
+    lifted = np.column_stack([points, np.ones(len(points))])
+    excess = float(np.max(values - lifted @ seen["envelope"].plane))
+    return excess, oracle.PRICING_TOL * max(1.0, float(np.abs(values).max()))
+
+
+def test_pricing_certifies_an_optimum_outside_the_starting_set(monkeypatch):
+    # Report 1 pays five times report 2, so the highest values all sit near
+    # the first vertex; the envelope also needs an interior belief leaning
+    # to state 2, which the starting set does not hold.
+    seen = _spy_envelope(monkeypatch)
+    prior = Belief([0.6, 0.4])
+    result = agent_best_response(Experiment(np.eye(2)), Contract(np.diag([5.0, 1.0])),
+                                 entropy_cost(prior), prior)
+    assert result.pricing_rounds > 1
+    support = {tuple(b.probs) for b in result.support_beliefs}
+    starting = {tuple(seen["points"][i]) for i in seen["start"]}
+    assert support - starting
+    excess, tol = _plane_excess(seen)
+    assert excess <= tol
+    payments = np.diag([5.0, 1.0])
+    full = grid_lp_best_response(Experiment(np.eye(2)), Contract(payments),
+                                 entropy_cost(prior), prior)
+    assert abs(result.optimal_value - full) <= 1e-9
+
+
+@pytest.mark.parametrize("payments", [np.zeros((3, 3)), np.array([[1.0] * 3, [0.5] * 3, [2.0] * 3])])
+def test_flat_envelope_is_certified_at_the_prior(monkeypatch, payments):
+    # A zero or report-independent contract pays an affine function of the
+    # belief, so the net value is concave and the agent stays at the prior.
+    seen = _spy_envelope(monkeypatch)
+    prior = Belief([0.2, 0.5, 0.3])
+    e = Experiment([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.2, 0.7]])
+    result = agent_best_response(e, Contract(payments), entropy_cost(prior), prior,
+                                 grid=GridSpec(resolution=101))
+    assert result.optimal_value == pytest.approx(float(prior.probs @ e.kernel @ payments[:, 0]),
+                                                 abs=1e-12)
+    assert len(result.support_beliefs) == 1
+    np.testing.assert_allclose(result.support_beliefs[0].probs, prior.probs, atol=1e-12)
+    excess, tol = _plane_excess(seen)
+    assert excess <= tol
+
+
+def test_result_reports_columns_and_rounds(binary_instance):
+    prior, cost, target = binary_instance
+    report = optimal_contract(BINARY, target, cost)
+    result = agent_best_response(BINARY, report.contract, cost, prior, target=target)
+    payload = result.to_dict()
+    for key in ("lp_columns", "pricing_rounds"):
+        assert type(payload[key]) is int and payload[key] > 0
+        assert payload[key] == getattr(result, key)
+    assert result.lp_columns < result.n_grid_points
+
+
+def test_three_state_solve_at_401_points_per_axis_stays_small():
+    rng = np.random.default_rng(43)
+    e, target, cost = equal_rows_instance(rng)
+    contract = optimal_contract(e, target, cost).contract
+    result = agent_best_response(e, contract, cost, cost.prior,
+                                 grid=GridSpec(resolution=401), target=target)
+    assert result.n_grid_points == 401 * 402 // 2 + 1 + target.size
+    assert result.lp_columns <= 1000
+    assert -1e-9 <= result.gap <= 1e-6
+
+
+def test_failed_restricted_lp_is_a_solver_failure(binary_instance, monkeypatch):
+    prior, cost, _ = binary_instance
+
+    def stalled(*args, **kwargs):
+        return LpSolution(LpStatus.FAILED, None, None, message="stalled")
+
+    monkeypatch.setattr(oracle, "solve_lp", stalled)
+    with pytest.raises(SolverFailureError, match="stalled"):
+        agent_best_response(BINARY, Contract(np.eye(2)), cost, prior)
+
+
+def test_cost_infinite_at_the_prior_is_an_input_error():
+    prior = Belief([0.5, 0.5])
+    walled = custom_cost(
+        prior, lambda mu: np.inf if mu[0] >= 0.5 else 0.0, lambda mu: np.zeros(2),
+        strictly_convex=False, infinite_boundary_slope=False,
+        finite_on_boundary=False, validate=False,
+    )
+    with pytest.raises(InputError, match="infinite at the prior"):
+        agent_best_response(Experiment(np.eye(2)), Contract(np.zeros((2, 2))), walled, prior)
+
+
+def test_simplex_grid_matches_the_row_by_row_construction():
+    for points in (101, 150, 201):
+        steps = points - 1
+        rows = [np.column_stack([np.full(steps - i + 1, i), np.arange(steps - i + 1),
+                                 steps - i - np.arange(steps - i + 1)])
+                for i in range(steps + 1)]
+        np.testing.assert_array_equal(simplex_grid(3, points), np.vstack(rows) / steps)
