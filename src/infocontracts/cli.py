@@ -4,9 +4,10 @@ Every command is a thin wrapper over the library: inputs are JSON files (or
 ``-`` for stdin), outputs are JSON (default) or plain-text tables.  Exit
 codes: 0 on success, 2 on malformed input, 3 when a negative verdict must
 fail the pipeline (``implementable --strict``, or ``contract`` on a target
-that cannot be implemented), 4 when the LP solver gives no trustworthy
-answer.  Every option can also be supplied through an ``INFOCONTRACTS_``-
-prefixed environment variable.
+that cannot be implemented), 4 when a solver (HiGHS, or the nonnegative
+least-squares iteration) gives no trustworthy answer.  Every option can
+also be supplied through an ``INFOCONTRACTS_``-prefixed environment
+variable.
 """
 
 from __future__ import annotations
@@ -134,7 +135,7 @@ _tol_rank = click.option("--tol-rank", type=float, default=None,
 _tol_residual = click.option("--tol-residual", type=float, default=1e-9, show_default=True,
                              help="Relative tolerance for column-space residual verdicts.")
 _tol_lp = click.option("--tol-lp", type=float, default=None,
-                       help="LP feasibility tolerance override.")
+                       help="Feasibility tolerance of the cost-minimization LP.")
 
 
 @click.group(context_settings=CONTEXT_SETTINGS)
@@ -153,18 +154,17 @@ def main():
 @click.option("--strict", is_flag=True, help="Exit 3 when the verdict is negative.")
 @_tol_residual
 @_tol_rank
-@_tol_lp
 @_format_option
 @_output_option
 def cmd_implementable(experiment_path, target_path, cost_path, strict, tol_residual,
-                      tol_rank, tol_lp, fmt, output):
+                      tol_rank, fmt, output):
     """Decide whether the target can be incentivized, with certificates."""
     e_p = _load_experiment(experiment_path)
     cost = _load_cost(cost_path)
     target = _load_target(target_path, cost.prior)
     with _library_errors():
         report = check_implementable(e_p, target, cost, residual_tol=tol_residual,
-                                     rank_tol=tol_rank, lp_tol=tol_lp)
+                                     rank_tol=tol_rank)
 
     def as_table(payload):
         lines = [f"implementable: {payload['implementable']}", f"mode: {payload['mode']}"]
@@ -187,13 +187,12 @@ def cmd_implementable(experiment_path, target_path, cost_path, strict, tol_resid
               help="Drop limited liability: return the zero-rent benchmark contract.")
 @click.option("--verify", is_flag=True, help="Run the independent agent solver and embed the gap.")
 @click.option("--grid", type=int, default=None, help="Grid points per axis for --verify.")
-@_tol_residual
 @_tol_rank
 @_tol_lp
 @_format_option
 @_output_option
 def cmd_contract(experiment_path, target_path, cost_path, no_ll, verify, grid,
-                 tol_residual, tol_rank, tol_lp, fmt, output):
+                 tol_rank, tol_lp, fmt, output):
     """Synthesize the cost-minimizing (or zero-rent benchmark) contract."""
     e_p = _load_experiment(experiment_path)
     cost = _load_cost(cost_path)

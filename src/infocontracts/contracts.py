@@ -6,8 +6,9 @@ depends only on the realization of the contractible experiment, and side
 bets with zero expected value in every state.  The bonus and the side bets
 carry no incentives but determine the agent's rents, so cost minimization
 reduces to choosing them optimally subject to nonnegative payments: a
-row-minimum shift in closed form when the kernel has no null space (no side
-bets exist), and a small LP over the payments otherwise.
+row-minimum shift in closed form when the kernel has no null space and the
+target is interior (no side bets or boundary multipliers to choose), and a
+small LP over the payments and boundary multipliers otherwise.
 """
 
 from __future__ import annotations
@@ -24,7 +25,13 @@ from .errors import (
     NotImplementableError,
     SolverFailureError,
 )
-from .experiments import Belief, Experiment, PosteriorDistribution, experiment_from_posteriors
+from .experiments import (
+    INTERIOR_THRESHOLD,
+    Belief,
+    Experiment,
+    PosteriorDistribution,
+    experiment_from_posteriors,
+)
 from .implementability import ImplementabilityReport, check_implementable, difference_operator
 from .numerics import LpProblem, LpStatus, PseudoInverse, solve_lp
 from .orders import binary_likelihood_ratios
@@ -153,11 +160,6 @@ class ContractFamily:
         cols = self.experiment.kernel @ contract.payments - self.nabla
         return float(np.ptp(cols, axis=1).max(initial=0.0))
 
-    def lambda_for(self, contract: Contract) -> np.ndarray:
-        """Per-state payoff multiplier of a member (column mean of the FOC)."""
-        cols = self.experiment.kernel @ contract.payments - self.nabla
-        return cols.mean(axis=1)
-
 
 def synthesize_family(e_p: Experiment, target: PosteriorDistribution,
                       cost: PosteriorCost, rank_tol: float | None = None) -> ContractFamily:
@@ -232,18 +234,20 @@ def optimal_contract(e_p: Experiment, target: PosteriorDistribution,
                      lp_tol: float | None = None) -> CostReport:
     """Cheapest limited-liability contract implementing ``target``.
 
-    When the kernel has no null space, or the target has a single
-    posterior, the optimum is closed-form: shift the base contract by minus
-    its row minima, so every realization leaves at least one report unpaid.
-    Otherwise side bets exist (deficient row rank, or more realizations
-    than states) and the payments are optimized directly by an LP:
-    ``T >= 0`` such that ``kernel @ T_k - lambda = nabla_k`` for every
-    report ``k`` and some multiplier ``lambda``, minimizing the expected
-    payment.  The reported cost is
-    ``first_best + mu0 . lambda(T*)``, which equals the expected payment of
-    the optimal contract (re-evaluated independently as ``payment_check``).
+    When the target has a single posterior, or it is interior and the
+    kernel has no null space, the optimum is closed-form: shift the base
+    contract by minus its row minima, so every realization leaves at least
+    one report unpaid.  Otherwise side bets exist (deficient row rank, or
+    more realizations than states) or the boundary multipliers of a corner
+    target are free, and the payments are optimized directly by one LP:
+    ``T >= 0`` and ``eta >= 0`` on the cells the posteriors rule out, such
+    that ``kernel @ T_k - lambda = nabla_k - eta_k`` for every report ``k``
+    and some multiplier ``lambda``, minimizing the expected payment.  The
+    reported cost is ``first_best + mu0 . lambda(T*)``, which equals the
+    expected payment of the optimal contract (re-evaluated independently as
+    ``payment_check``).
     """
-    report = check_implementable(e_p, target, cost, rank_tol=rank_tol, lp_tol=lp_tol)
+    report = check_implementable(e_p, target, cost, rank_tol=rank_tol)
     first_best = report.first_best
     if not report.implementable:
         return CostReport(
@@ -251,11 +255,13 @@ def optimal_contract(e_p: Experiment, target: PosteriorDistribution,
             contract=None, mode=report.mode, reason=report.reason,
         )
     family = _family(e_p, report)
+    free = (target.posterior_matrix() < INTERIOR_THRESHOLD) & (report.mode == "corner")
     # A single report needs no incentive: the shift pays nothing.
-    if family.null_basis.shape[1] == 0 or target.size == 1:
-        payments = family.base - rowmin(family.base)[:, None]
+    if target.size == 1 or (family.null_basis.shape[1] == 0 and not free.any()):
+        payments, nabla = family.base - rowmin(family.base)[:, None], family.nabla
     else:
-        payments = _min_payment_lp(e_p.kernel, target, family.nabla, lp_tol)
+        payments, nabla = _min_payment_lp(e_p.kernel, target, report.marginal_costs,
+                                          free, lp_tol)
     payments = _clamp_zero(payments)
     if payments.min() < -LL_TOL:
         raise SolverFailureError(
@@ -263,7 +269,8 @@ def optimal_contract(e_p: Experiment, target: PosteriorDistribution,
         )
     contract = Contract(payments, limited_liability=True,
                         realizations=e_p.realizations)
-    kappa = first_best + float(cost.prior.probs @ family.lambda_for(contract))
+    # lambda(T*): the column mean of the first-order condition.
+    kappa = first_best + float(cost.prior.probs @ (e_p.kernel @ payments - nabla).mean(axis=1))
     binding = tuple(
         (int(i), int(j)) for i, j in zip(*np.nonzero(np.abs(payments) <= 1e-9))
     )
@@ -275,22 +282,28 @@ def optimal_contract(e_p: Experiment, target: PosteriorDistribution,
     )
 
 
-def _min_payment_lp(kernel, target, nabla, lp_tol) -> np.ndarray:
-    """Payments ``T >= 0`` (M x K) minimizing the expected payment subject
-    to ``kernel @ T_k - lambda = nabla_k`` for every report ``k``.  The free
-    multiplier ``lambda`` is eliminated by the column-difference operator
-    ``D`` of :func:`difference_operator`: ``kernel @ T @ D = nabla @ D``,
-    i.e. ``kron(D', kernel) vec(T) = vec(nabla @ D)`` with ``T`` flattened
-    column by column.  Needs at least two reports."""
-    m, k = kernel.shape[1], nabla.shape[1]
+def _min_payment_lp(kernel, target, nabla, free, lp_tol) -> tuple[np.ndarray, np.ndarray]:
+    """Payments ``T >= 0`` (M x K) and boundary multipliers ``eta >= 0`` on
+    the ``free`` cells minimizing the expected payment subject to
+    ``kernel @ T_k - lambda = nabla_k - eta_k`` for every report ``k``.  The
+    free multiplier ``lambda`` is eliminated by the column-difference
+    operator ``D`` of :func:`difference_operator`:
+    ``kron(D', kernel) vec(T) + kron(D', I) vec(eta) = vec(nabla @ D)`` with
+    ``T`` and ``eta`` flattened column by column.  Returns ``T`` and the
+    effective marginal costs ``nabla - eta``.  Needs at least two reports."""
+    (n, m), k = kernel.shape, nabla.shape[1]
     d = difference_operator(k)
+    free = free.flatten(order="F")
     weighted = target.posterior_matrix() * target.weights
-    lp = LpProblem(c=(weighted.T @ kernel).reshape(-1), a_eq=np.kron(d.T, kernel),
+    lp = LpProblem(c=np.concatenate([(weighted.T @ kernel).reshape(-1), np.zeros(free.sum())]),
+                   a_eq=np.hstack([np.kron(d.T, kernel), np.kron(d.T, np.eye(n))[:, free]]),
                    b_eq=(nabla @ d).flatten(order="F"), bounds=(0, None))
     sol = solve_lp(lp) if lp_tol is None else solve_lp(lp, feasibility_tol=lp_tol)
     if sol.status is not LpStatus.OPTIMAL:
         raise SolverFailureError(f"cost-minimization LP did not resolve: {sol.message}")
-    return sol.x.reshape(k, m).T
+    eta = np.zeros(n * k)
+    eta[free] = sol.x[m * k:]
+    return sol.x[:m * k].reshape(k, m).T, nabla - eta.reshape((n, k), order="F")
 
 
 def first_best_contract(e_p: Experiment, target: PosteriorDistribution,

@@ -31,4 +31,5 @@ class NotImplementableError(ValueError):
 
 
 class SolverFailureError(RuntimeError):
-    """The LP backend stopped without a trustworthy verdict."""
+    """A solver (HiGHS or the nonnegative least-squares iteration) stopped
+    without a trustworthy answer."""

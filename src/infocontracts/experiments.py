@@ -247,8 +247,9 @@ def has_uniform_random_noise(e: Experiment, tol: float = 1e-12) -> bool:
 
 
 def blackwell_compare(e: Experiment, f: Experiment) -> OrderVerdict:
-    """Blackwell order via garbling feasibility: one LP for a row-stochastic
-    ``G >= 0`` with ``e.kernel @ G = f.kernel`` in each direction.
+    """Blackwell order via garbling feasibility: one nonnegative
+    least-squares fit for a row-stochastic ``G >= 0`` with
+    ``e.kernel @ G = f.kernel`` in each direction.
     Dominance certificates carry the garbling matrix."""
     if e.n_states != f.n_states:
         raise DimensionMismatchError("experiments live on different state spaces")

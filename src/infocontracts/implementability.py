@@ -10,7 +10,9 @@ Targets with boundary posteriors are handled by a complementary-slackness
 variant: the first-order condition may hold as an inequality on states a
 posterior rules out, so nonnegative multipliers supported on those zero
 coordinates are subtracted from the marginal-cost columns before the
-column-space test.  Feasibility of that system is decided as an LP.
+column-space test.  The multipliers are fitted by nonnegative least squares,
+and the verdict is the same per-column residual test as for interior
+targets.
 """
 
 from __future__ import annotations
@@ -21,21 +23,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .costs import MarginalCostMatrix, PosteriorCost, marginal_cost_matrix, total_cost
-from .errors import (
-    BoundaryMarginalCostError,
-    DimensionMismatchError,
-    InputError,
-    SolverFailureError,
-)
+from .errors import BoundaryMarginalCostError, DimensionMismatchError, InputError
 from .experiments import INTERIOR_THRESHOLD, Experiment, PosteriorDistribution, is_bayes_plausible
 from .numerics import (
     RESIDUAL_TOL,
-    LpProblem,
-    LpStatus,
     PseudoInverse,
     matrix_rank,
+    nonnegative_fit,
+    nonnegative_solve,
     pseudo_inverse,
-    solve_lp,
 )
 from .orders import OrderVerdict, colspace_compare
 
@@ -121,8 +117,7 @@ def _lambda_from(nabla: np.ndarray, projector: np.ndarray) -> np.ndarray:
 
 def check_implementable(e_p: Experiment, target: PosteriorDistribution,
                         cost: PosteriorCost, residual_tol: float = RESIDUAL_TOL,
-                        rank_tol: float | None = None,
-                        lp_tol: float | None = None) -> ImplementabilityReport:
+                        rank_tol: float | None = None) -> ImplementabilityReport:
     """Decide implementability of ``target`` under ``e_p`` for ``cost``.
 
     Interior targets use the column-space test on marginal-cost differences
@@ -131,29 +126,29 @@ def check_implementable(e_p: Experiment, target: PosteriorDistribution,
     slope stays bounded, and are rejected outright when it does not (a
     posterior that rules out a state can then never be optimal).
     """
-    return _decide(e_p, target, cost, residual_tol, rank_tol, lp_tol, corner=False)
+    return _decide(e_p, target, cost, residual_tol, rank_tol, corner=False)
 
 
 def check_implementable_corner(e_p: Experiment, target: PosteriorDistribution,
                                cost: PosteriorCost, residual_tol: float = RESIDUAL_TOL,
-                               rank_tol: float | None = None,
-                               lp_tol: float | None = None) -> ImplementabilityReport:
+                               rank_tol: float | None = None) -> ImplementabilityReport:
     """Implementability allowing boundary posteriors (bounded-slope costs).
 
     Looks for multipliers ``eta >= 0``, supported only on the states each
     posterior rules out, such that the columns of ``nabla - eta`` pass the
-    pairwise column-space test.  Decided as an LP minimizing the l1 norm of
-    the projection residuals; the optimal ``eta`` is returned as the
-    certificate.  On interior targets every multiplier is pinned to zero and
-    the verdict coincides with :func:`check_implementable`.
+    pairwise column-space test.  The multipliers minimize the projection
+    residuals in least squares (``eta >= 0``), and the fitted ``eta`` is
+    returned as the certificate.  On interior targets every multiplier is
+    pinned to zero and the verdict coincides with
+    :func:`check_implementable`.
     """
-    return _decide(e_p, target, cost, residual_tol, rank_tol, lp_tol, corner=True)
+    return _decide(e_p, target, cost, residual_tol, rank_tol, corner=True)
 
 
-def _decide(e_p, target, cost, residual_tol, rank_tol, lp_tol, corner: bool) -> ImplementabilityReport:
-    """The one implementability routine.  In order: the full-row-rank fast
-    path, the projection-residual test when no multiplier is free, and the
-    boundary-multiplier LP otherwise."""
+def _decide(e_p, target, cost, residual_tol, rank_tol, corner: bool) -> ImplementabilityReport:
+    """The one implementability routine: the full-row-rank fast path, or
+    else a fit of the free boundary multipliers (if any) followed by the
+    per-column projection-residual test."""
     _check_spaces(e_p, target, cost)
     first_best = total_cost(cost, target)
     if math.isinf(first_best):
@@ -193,14 +188,18 @@ def _decide(e_p, target, cost, residual_tol, rank_tol, lp_tol, corner: bool) -> 
     projector = fact.projector
     # In corner mode eta may be positive where a posterior rules its state out.
     free = (posterior_matrix < INTERIOR_THRESHOLD).flatten(order="F") & corner
-    eta = np.zeros((n, k))
+    eta = np.zeros(n * k)
     if free.any():
-        eta, ok = _fit_multipliers(projector, diffs, d, free, residual_tol, lp_tol)
+        # vec(C @ (diffs - eta @ D)) = vec(C @ diffs) - kron(D', C) vec(eta),
+        # with C = I - P the projector off Col(kernel).
+        complement = np.eye(n) - projector
+        eta[free] = nonnegative_fit(np.kron(d.T, complement)[:, free],
+                                    (complement @ diffs).flatten(order="F"))[0]
+    eta = eta.reshape((n, k), order="F")
     adjusted = nabla - eta
     adj_diffs = adjusted @ d
     residuals = np.linalg.norm(adj_diffs - projector @ adj_diffs, axis=0)
-    if not free.any():
-        ok = bool(np.all(residuals <= residual_tol * norms + _RESIDUAL_FLOOR))
+    ok = bool(np.all(residuals <= residual_tol * norms + _RESIDUAL_FLOOR))
     reason = ("" if ok else
               "no boundary multipliers can pull the marginal-cost differences "
               "into the kernel's column space" if free.any() else
@@ -211,35 +210,6 @@ def _decide(e_p, target, cost, residual_tol, rank_tol, lp_tol, corner: bool) -> 
         eta=eta if ok and corner else None, tolerance=residual_tol,
         full_row_rank=False, reason=reason, factorization=fact, marginal_costs=nabla,
     )
-
-
-def _fit_multipliers(projector, diffs, d, free, residual_tol, lp_tol) -> tuple[np.ndarray, bool]:
-    """Boundary-multiplier LP: ``eta >= 0`` on the ``free`` cells (flattened
-    column by column) minimizing the l1 norm of the projection residuals of
-    the columns of ``diffs - eta @ d``.  Returns the optimal ``eta`` and the
-    verdict."""
-    n, k = diffs.shape[0], d.shape[0]
-    complement = np.eye(n) - projector
-    rhs = (complement @ diffs).flatten(order="F")       # stacked per column block
-    # vec(C @ eta @ D) = kron(D', C) vec(eta).
-    coef = np.kron(d.T, complement)[:, free]
-    n_eta, n_rows = coef.shape[1], rhs.size
-
-    # min sum(t) s.t. -t <= rhs - coef @ eta <= t, eta >= 0, t >= 0.
-    c_obj = np.concatenate([np.zeros(n_eta), np.ones(n_rows)])
-    a_ub = np.block([
-        [coef, -np.eye(n_rows)],
-        [-coef, -np.eye(n_rows)],
-    ])
-    b_ub = np.concatenate([rhs, -rhs])
-    lp = LpProblem(c=c_obj, a_ub=a_ub, b_ub=b_ub, bounds=(0, None))
-    sol = solve_lp(lp) if lp_tol is None else solve_lp(lp, feasibility_tol=lp_tol)
-    if sol.status is not LpStatus.OPTIMAL:
-        raise SolverFailureError(f"boundary-multiplier LP did not resolve: {sol.message}")
-    eta = np.zeros(n * k)
-    eta[free] = sol.x[:n_eta]
-    scale = max(1.0, float(np.linalg.norm(diffs, axis=0).max(initial=0.0)))
-    return eta.reshape((n, k), order="F"), sol.objective <= residual_tol * scale * max(1, n_rows)
 
 
 def check_unique_implementable(e_p: Experiment, target: PosteriorDistribution,
@@ -278,18 +248,12 @@ def check_no_dominance(nabla, identical_tol: float = 1e-12) -> bool:
         ]
         if not others:
             continue
+        # Dominated iff some w >= 0, 1'w = 1 and slack s >= 0 have
+        # block @ w - s = column.
         block = matrix[:, others]
-        problem = LpProblem(
-            c=np.zeros(len(others)),
-            a_ub=-block, b_ub=-matrix[:, col],
-            a_eq=np.ones((1, len(others))), b_eq=np.array([1.0]),
-            bounds=(0, None),
-        )
-        sol = solve_lp(problem)
-        if sol.status is LpStatus.OPTIMAL:
+        coef = np.block([[block, -np.eye(n)], [np.ones((1, len(others))), np.zeros((1, n))]])
+        if nonnegative_solve(coef, np.append(matrix[:, col], 1.0)[:, None]) is not None:
             return False
-        if sol.status is not LpStatus.INFEASIBLE:
-            raise InputError(f"dominance LP did not resolve: {sol.message}")
     return True
 
 

@@ -1,4 +1,9 @@
-"""Dense matrix kernels and the LP solving contract used by every other module.
+"""Dense matrix kernels, nonnegative least squares, and the LP solving
+contract used by every other module.
+
+Every nonnegative-feasibility question (is there ``x >= 0`` with
+``A x = b``?) is answered by :func:`nonnegative_fit` and decided by its
+residual; HiGHS is kept for the LPs that optimize an objective.
 
 Everything here is pure: inputs are never mutated and calls on distinct
 problem instances are safe to run concurrently.
@@ -10,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linprog, nnls
 
 from .errors import DimensionMismatchError, InputError, SolverFailureError
 
@@ -18,8 +23,9 @@ from .errors import DimensionMismatchError, InputError, SolverFailureError
 # sigma_max * max(rows, cols) * RANK_TOL_FACTOR, i.e. scale-free.
 RANK_TOL_FACTOR = 1e-12
 
-# Feasibility tolerances: LP constraint violation and projection-residual
-# verdicts.  Both are overridable per call.
+# Feasibility tolerances: LP constraint violation, and the relative
+# least-squares residual behind every column-space and nonnegative-fit
+# verdict.
 LP_FEASIBILITY_TOL = 1e-7
 RESIDUAL_TOL = 1e-9
 
@@ -219,24 +225,35 @@ def _bounds_violation(x: np.ndarray, bounds) -> float:
     return float(np.fmax.reduce(np.concatenate([lo - x, x - hi]), initial=0.0))
 
 
+def nonnegative_fit(a, b) -> tuple[np.ndarray, float]:
+    """``x >= 0`` minimizing ``||a @ x - b||`` and that least residual, by
+    Lawson-Hanson nonnegative least squares.  Raises
+    :class:`SolverFailureError` when the active-set iteration does not
+    converge."""
+    try:
+        x, residual = nnls(a, b)
+    except RuntimeError as exc:
+        raise SolverFailureError(f"nonnegative least squares did not converge: {exc}") from exc
+    return x, float(residual)
+
+
 def nonnegative_solve(a, b, stochastic: bool = False) -> np.ndarray | None:
     """Nonnegative ``G`` with ``a @ G = b`` (and ``G @ 1 = 1`` when
     ``stochastic``), or None when none exists.
 
-    Decided as one feasibility LP over ``G`` flattened column by column, so
-    that ``kron(I, a)`` maps it onto the columns of ``b``.  Raises
-    :class:`SolverFailureError` when HiGHS gives no trustworthy answer.
+    Decided by one nonnegative least-squares fit over ``G`` flattened column
+    by column, so that ``kron(I, a)`` maps it onto the columns of ``b``: a
+    ``G`` exists iff the least residual is at most
+    ``RESIDUAL_TOL * max(1, ||rhs||)``.
     """
     a, b = as_matrix(a), as_matrix(b)
     m_a, m_b = a.shape[1], b.shape[1]
-    a_eq = np.kron(np.eye(m_b), a)
-    b_eq = b.flatten(order="F")
+    coef = np.kron(np.eye(m_b), a)
+    rhs = b.flatten(order="F")
     if stochastic:
-        a_eq = np.vstack([a_eq, np.kron(np.ones((1, m_b)), np.eye(m_a))])
-        b_eq = np.concatenate([b_eq, np.ones(m_a)])
-    sol = solve_lp(LpProblem(c=np.zeros(m_a * m_b), a_eq=a_eq, b_eq=b_eq, bounds=(0, None)))
-    if sol.status is LpStatus.OPTIMAL:
-        return sol.x.reshape(m_b, m_a).T
-    if sol.status is LpStatus.INFEASIBLE:
+        coef = np.vstack([coef, np.kron(np.ones((1, m_b)), np.eye(m_a))])
+        rhs = np.concatenate([rhs, np.ones(m_a)])
+    x, residual = nonnegative_fit(coef, rhs)
+    if residual > RESIDUAL_TOL * max(1.0, float(np.linalg.norm(rhs))):
         return None
-    raise SolverFailureError(f"nonnegative-solve LP did not resolve: {sol.message}")
+    return x.reshape(m_b, m_a).T

@@ -3,11 +3,11 @@
 Three decidable orders are provided: containment of column spaces (which
 characterizes comparison of implementable sets, decided by ranks),
 containment of conic spans (sufficient for indirect-cost dominance, decided
-by one nonnegative-solve LP per direction), and the complete
+by one nonnegative least-squares fit per direction), and the complete
 likelihood-ratio characterization of indirect-cost dominance for
 binary-state experiments with two realizations.  Blackwell comparison lives
 with the experiment type itself in :mod:`infocontracts.experiments` and uses
-the same LP with row-stochastic rows added.
+the same fit with row-stochastic rows added.
 
 A general decision procedure for indirect-cost dominance beyond the
 binary-binary case is deliberately not offered: outside that case only the
@@ -98,8 +98,9 @@ def _check_same_states(a: np.ndarray, b: np.ndarray) -> None:
 
 def cone_compare(e, f) -> OrderVerdict:
     """Compare conic spans: Cone(a) contains Cone(b) iff some ``G >= 0``
-    has ``a @ G = b``, decided by one LP per direction.  Dominance
-    certificates carry ``G``, one column of coefficients per column of b."""
+    has ``a @ G = b``, decided by one nonnegative least-squares fit per
+    direction.  Dominance certificates carry ``G``, one column of
+    coefficients per column of b."""
     a, b = _kernel(e), _kernel(f)
     _check_same_states(a, b)
     g_fwd = nonnegative_solve(a, b)

@@ -262,6 +262,53 @@ def corner_multiplier_instance(rng):
     return Experiment(np.column_stack([first, 1.0 - first])), target, quadratic_cost(Belief(prior), scale)
 
 
+def direct_nonnegative_feasible(a, b, stochastic: bool) -> bool:
+    """Whether some ``G >= 0`` has ``a @ G = b`` (with rows summing to one
+    when ``stochastic``), by one LP posed straight to scipy: the least l1
+    misfit over such ``G``, which is zero iff one exists."""
+    n, m_a = a.shape
+    m_b = b.shape[1]
+    n_eq = n * m_b
+    a_eq = np.hstack([np.kron(np.eye(m_b), a), np.eye(n_eq), -np.eye(n_eq)])
+    b_eq = b.flatten(order="F")
+    if stochastic:
+        rows = np.hstack([np.kron(np.ones((1, m_b)), np.eye(m_a)), np.zeros((m_a, 2 * n_eq))])
+        a_eq = np.vstack([a_eq, rows])
+        b_eq = np.concatenate([b_eq, np.ones(m_a)])
+    c = np.concatenate([np.zeros(m_a * m_b), np.ones(2 * n_eq)])
+    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    return bool(res.fun <= 1e-9)
+
+
+def full_rank_corner_instance(rng, n, n_corner):
+    """Full-rank n x n kernel and a quadratic-cost target at a Dirichlet
+    prior.  The first ``n_corner`` posteriors each rule out between one and
+    n - 2 states; a last interior posterior restores the prior.  The kernel
+    has no null space, so every finite-cost target is implementable, but
+    the boundary multipliers are free and need not be unique."""
+    from infocontracts import quadratic_cost
+
+    while True:
+        kernel = random_stochastic(rng, n, n)
+        if abs(np.linalg.det(kernel)) >= 0.02:
+            break
+    prior = rng.dirichlet(np.ones(n) * 6.0 + 2.0)
+    while True:
+        posts, weights = [], []
+        for _ in range(n_corner):
+            ruled_out = rng.choice(n, size=int(rng.integers(1, n - 1)), replace=False)
+            x = rng.dirichlet(np.ones(n))
+            x[ruled_out] = 0.0
+            posts.append(x / x.sum())
+            weights.append(rng.uniform(0.1, 0.6 / n_corner))
+        last = (prior - np.array(weights) @ np.array(posts)) / (1.0 - sum(weights))
+        if last.min() >= 0.02:
+            break
+    target = PosteriorDistribution(posts + [last], weights + [1.0 - sum(weights)])
+    return Experiment(kernel), target, quadratic_cost(Belief(prior), scale=rng.uniform(0.5, 2.0))
+
+
 def grid_lp_best_response(e_p, contract, cost, prior, grid=None, target=None) -> float:
     """The agent's grid optimum as one LP over every grid belief, posed
     straight to scipy: the same grid and net values as the oracle, with no

@@ -329,4 +329,4 @@ def test_criterion_9_corner_check_vs_grid_search():
         if not ok:
             break
     ok &= feasible_seen >= 5 and infeasible_seen >= 5
-    report(9, f"corner LP vs grid ({feasible_seen}+/{infeasible_seen}-)", ok)
+    report(9, f"corner test vs grid ({feasible_seen}+/{infeasible_seen}-)", ok)

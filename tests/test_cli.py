@@ -140,6 +140,19 @@ def test_contract_command_not_implementable_exits_3(runner, tmp_path):
     assert payload["kappa"] == "inf"
 
 
+def test_flags_that_would_do_nothing_are_rejected(runner, tmp_path):
+    # contract has no residual verdict and implementable solves no LP.
+    inputs = [
+        "--experiment", write(tmp_path, "e.json", BINARY),
+        "--target", write(tmp_path, "t.json", BINARY_TARGET),
+        "--cost", write(tmp_path, "c.json", ENTROPY2),
+    ]
+    for args in (["contract", "--tol-residual", "1e-3"], ["implementable", "--tol-lp", "1e-3"]):
+        result = runner.invoke(main, args + inputs)
+        assert result.exit_code == 2, result.output
+        assert "No such option" in result.output
+
+
 def test_compare_command_all_orders(runner, tmp_path):
     first = write(tmp_path, "e1.json", BINARY)
     second = write(tmp_path, "e2.json", BINARY_SKEWED)
@@ -269,7 +282,10 @@ def test_solver_failures_exit_4_without_a_traceback(runner, tmp_path, monkeypatc
     def stalled(*args, **kwargs):
         return LpSolution(LpStatus.FAILED, None, None, message="stalled")
 
-    monkeypatch.setattr(numerics, "solve_lp", stalled)
+    def nnls_stalled(*args, **kwargs):
+        raise RuntimeError("stalled")
+
+    monkeypatch.setattr(numerics, "nnls", nnls_stalled)
     monkeypatch.setattr(contracts, "solve_lp", stalled)
     side_bets = {"kernel": [[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]]}
     runs = [

@@ -6,6 +6,7 @@ from helpers import (
     corner_multiplier_instance,
     direct_min_payment,
     equal_rows_instance,
+    full_rank_corner_instance,
     random_binary_experiment,
     random_binary_target,
     random_interior_prior,
@@ -25,6 +26,7 @@ from infocontracts import (
     Experiment,
     NotImplementableError,
     PosteriorDistribution,
+    agent_best_response,
     binary_rent_profile,
     check_implementable,
     entropy_cost,
@@ -33,6 +35,7 @@ from infocontracts import (
     marginal_cost_matrix,
     optimal_contract,
     posteriors,
+    quadratic_cost,
     rowmin,
     synthesize_family,
     total_cost,
@@ -335,6 +338,40 @@ def test_kappa_matches_direct_lp_on_corner_targets_with_positive_multiplier():
         assert check_implementable(e, target, cost).eta.max() > 1e-3
         report = _assert_kappa_is_direct_optimum(e, target, cost)
         assert report.mode == "corner"
+
+
+def _assert_no_profitable_deviation(e, target, cost, report):
+    result = agent_best_response(e, report.contract, cost, cost.prior, target=target)
+    assert result.gap <= 1e-5
+
+
+def test_corner_multipliers_are_priced_jointly_with_the_payments():
+    # A full-rank kernel whose corner target leaves the boundary multiplier
+    # free: fixing it before pricing overpaid (kappa 7.0966).
+    e = Experiment([[0.85, 0.14, 0.01], [0.19, 0.55, 0.26], [0.04, 0.72, 0.24]])
+    prior = np.array([0.24, 0.37, 0.39])
+    ruled_out = np.array([0.0, 0.05, 0.95])
+    target = PosteriorDistribution([ruled_out, (prior - 0.38 * ruled_out) / 0.62], [0.38, 0.62])
+    cost = quadratic_cost(Belief(prior), scale=1.1)
+    report = _assert_kappa_is_direct_optimum(e, target, cost)
+    assert report.kappa == pytest.approx(5.543607300394841, rel=1e-8)
+    _assert_no_profitable_deviation(e, target, cost, report)
+
+
+def test_kappa_matches_direct_lp_on_full_rank_3x3_corner_targets():
+    rng = np.random.default_rng(37)
+    for _ in range(40):
+        e, target, cost = full_rank_corner_instance(rng, 3, 1)
+        report = _assert_kappa_is_direct_optimum(e, target, cost)
+        assert report.mode == "corner"
+        _assert_no_profitable_deviation(e, target, cost, report)
+
+
+def test_kappa_matches_direct_lp_with_several_free_multipliers():
+    rng = np.random.default_rng(43)
+    for _ in range(40):
+        e, target, cost = full_rank_corner_instance(rng, 4, 2)
+        assert _assert_kappa_is_direct_optimum(e, target, cost).mode == "corner"
 
 
 def test_roundoff_negative_payment_is_a_solver_failure(monkeypatch):

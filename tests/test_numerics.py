@@ -51,10 +51,11 @@ def test_pseudo_inverse_rejects_bad_input():
 
 
 def penrose_violation(a, pinv):
+    # Scaled by the largest entry, not the Frobenius norm: the norm of a
+    # pinv with entries near 1e200 overflows and would zero the second term.
     worst = 0.0
-    scale = max(1.0, np.linalg.norm(a))
-    worst = max(worst, np.max(np.abs(a @ pinv @ a - a)) / scale)
-    worst = max(worst, np.max(np.abs(pinv @ a @ pinv - pinv)) / max(1.0, np.linalg.norm(pinv)))
+    worst = max(worst, np.max(np.abs(a @ pinv @ a - a)) / max(1.0, np.abs(a).max()))
+    worst = max(worst, np.max(np.abs(pinv @ a @ pinv - pinv)) / max(1.0, np.abs(pinv).max()))
     worst = max(worst, np.max(np.abs((a @ pinv) - (a @ pinv).T)))
     worst = max(worst, np.max(np.abs((pinv @ a) - (pinv @ a).T)))
     return worst

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from helpers import (
+    direct_nonnegative_feasible,
     random_binary_experiment,
     random_binary_target,
     random_interior_prior,
@@ -14,8 +15,6 @@ from infocontracts import (
     DegenerateExperimentError,
     DimensionMismatchError,
     Experiment,
-    LpSolution,
-    LpStatus,
     PosteriorDistribution,
     Relation,
     SolverFailureError,
@@ -182,25 +181,77 @@ def test_cone_compare_runs_one_lp_per_direction(monkeypatch):
     rng = np.random.default_rng(113)
     a = random_stochastic(rng, 3, 4)
     b = a @ random_stochastic(rng, 4, 4)          # inside Cone(a): every column is checked
-    calls = []
-    real = numerics.linprog
+    fits, lps = [], []
+    real_nnls, real_linprog = numerics.nnls, numerics.linprog
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs["A_eq"].shape)
-        return real(*args, **kwargs)
+    def counted_nnls(coef, rhs, **kwargs):
+        fits.append(coef.shape)
+        return real_nnls(coef, rhs, **kwargs)
 
-    monkeypatch.setattr(numerics, "linprog", counted)
+    def counted_linprog(*args, **kwargs):
+        lps.append(kwargs.get("A_eq"))
+        return real_linprog(*args, **kwargs)
+
+    monkeypatch.setattr(numerics, "nnls", counted_nnls)
+    monkeypatch.setattr(numerics, "linprog", counted_linprog)
     verdict = cone_compare(Experiment(a), Experiment(b))
     assert verdict.dominates_weakly
-    assert calls == [(12, 16), (12, 16)]
+    assert fits == [(12, 16), (12, 16)]
+    assert lps == []
     np.testing.assert_allclose(a @ verdict.certificate["coefficients"], b, atol=1e-9)
+    assert verdict.certificate["coefficients"].min() >= 0.0
 
 
 def test_order_lps_without_a_trustworthy_answer_are_solver_failures(monkeypatch):
     from infocontracts import numerics
 
-    monkeypatch.setattr(numerics, "solve_lp",
-                        lambda *a, **k: LpSolution(LpStatus.FAILED, None, None, message="stalled"))
+    def stalled(*args, **kwargs):
+        raise RuntimeError("stalled")
+
+    monkeypatch.setattr(numerics, "nnls", stalled)
     for compare in (cone_compare, blackwell_compare):
         with pytest.raises(SolverFailureError, match="stalled"):
             compare(BINARY, BINARY_SKEWED)
+
+
+_DIRECTIONS = {
+    Relation.DOMINATES: (True, False),
+    Relation.DOMINATED_BY: (False, True),
+    Relation.EQUIVALENT: (True, True),
+    Relation.INCOMPARABLE: (False, False),
+}
+
+
+def _order_pair(rng, shape, kind):
+    n, m = shape
+    first = random_stochastic(rng, n, m)
+    if kind == "independent":
+        return first, random_stochastic(rng, n, m)
+    if kind == "garbled":
+        return first, first @ random_stochastic(rng, m, m)
+    if kind == "sparse":
+        # One or two nonzero entries per garbling row: the certificate sits
+        # on the boundary of the nonnegative orthant.
+        garbling = np.zeros((m, m))
+        for row in garbling:
+            cols = rng.choice(m, size=int(rng.integers(1, 3)), replace=False)
+            row[cols] = rng.dirichlet(np.ones(cols.size))
+        return first, first @ garbling
+    return first, first[:, rng.permutation(m)]
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3), (3, 4), (4, 6)])
+def test_order_verdicts_match_a_direct_lp(shape):
+    rng = np.random.default_rng(127)
+    for kind in ("garbled", "independent", "sparse", "permuted"):
+        for _ in range(6):
+            a, b = _order_pair(rng, shape, kind)
+            e, f = Experiment(a), Experiment(b)
+            for compare, stochastic in ((blackwell_compare, True), (cone_compare, False)):
+                expected = (direct_nonnegative_feasible(a, b, stochastic),
+                            direct_nonnegative_feasible(b, a, stochastic))
+                assert _DIRECTIONS[compare(e, f).relation] == expected, (kind, compare.__name__)
+            if kind != "independent":
+                assert blackwell_compare(e, f).dominates_weakly
+            if kind == "permuted":
+                assert blackwell_compare(e, f).relation is Relation.EQUIVALENT
