@@ -6,7 +6,8 @@ only a noisy experiment about the state is contractible, synthesizes the
 family of implementing contracts and the cost-minimizing one, computes the
 principal's indirect cost, and compares contractible experiments under the
 Blackwell, column-space, conic-span, and (binary-binary) indirect-cost
-orders.  An independent grid-based agent solver cross-checks every verdict.
+orders.  An independent agent-side solver (exact and certified under entropy
+costs, on a belief grid otherwise) cross-checks every verdict.
 """
 
 from .contracts import (

@@ -24,10 +24,10 @@ from .contracts import (
     Contract,
     binary_rent_profile,
     expected_payment,
-    first_best_contract,
     optimal_contract,
+    synthesize_family,
 )
-from .costs import cost_from_dict, entropy_cost, total_cost
+from .costs import cost_from_dict, entropy_cost
 from .errors import InputError, NotImplementableError, SolverFailureError
 from .experiments import Belief, Experiment, PosteriorDistribution, blackwell_compare, posteriors
 from .implementability import check_implementable
@@ -186,7 +186,8 @@ def cmd_implementable(experiment_path, target_path, cost_path, strict, tol_resid
 @click.option("--no-ll", "no_ll", is_flag=True,
               help="Drop limited liability: return the zero-rent benchmark contract.")
 @click.option("--verify", is_flag=True, help="Run the independent agent solver and embed the gap.")
-@click.option("--grid", type=int, default=None, help="Grid points per axis for --verify.")
+@click.option("--grid", type=int, default=None,
+              help="Grid points per axis for --verify (grid route; unused under an entropy cost).")
 @_tol_rank
 @_tol_lp
 @_format_option
@@ -202,11 +203,12 @@ def cmd_contract(experiment_path, target_path, cost_path, no_ll, verify, grid,
     with _library_errors():
         try:
             if no_ll:
-                contract = first_best_contract(e_p, target, cost, rank_tol=tol_rank)
+                family = synthesize_family(e_p, target, cost, rank_tol=tol_rank)
+                contract = family.zero_rent_member(target, cost.prior)
                 payload = {
                     "contract": contract.to_dict(),
                     "expected_payment": expected_payment(e_p, target, cost.prior, contract),
-                    "first_best": total_cost(cost, target),
+                    "first_best": family.report.first_best,
                     "limited_liability": False,
                 }
             else:
@@ -280,7 +282,8 @@ def cmd_compare(order, first_path, second_path, fmt, output):
 @click.option("--contract", "contract_path", required=True)
 @click.option("--target", "target_path", default=None,
               help="Optional target whose optimality gap should be measured.")
-@click.option("--grid", type=int, default=None, help="Grid points per axis.")
+@click.option("--grid", type=int, default=None,
+              help="Grid points per axis (grid route; unused under an entropy cost).")
 @_format_option
 @_output_option
 def cmd_oracle(experiment_path, cost_path, contract_path, target_path, grid, fmt, output):

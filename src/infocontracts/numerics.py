@@ -241,18 +241,26 @@ def nonnegative_solve(a, b, stochastic: bool = False) -> np.ndarray | None:
     """Nonnegative ``G`` with ``a @ G = b`` (and ``G @ 1 = 1`` when
     ``stochastic``), or None when none exists.
 
-    Decided by one nonnegative least-squares fit over ``G`` flattened column
-    by column, so that ``kron(I, a)`` maps it onto the columns of ``b``: a
-    ``G`` exists iff the least residual is at most
-    ``RESIDUAL_TOL * max(1, ||rhs||)``.
+    Without ``stochastic`` the columns of ``G`` are independent: each is one
+    nonnegative least-squares fit against its column ``b_j``, accepted iff
+    its least residual is at most ``RESIDUAL_TOL * max(1, ||b_j||)``, and
+    the first column that fails decides None.  The row sums couple the
+    columns of a stochastic ``G``, so it is one fit over ``G`` flattened
+    column by column, where ``kron(I, a)`` maps it onto the columns of
+    ``b``, decided the same way on the whole right-hand side.
     """
     a, b = as_matrix(a), as_matrix(b)
+    if not stochastic:
+        columns = []
+        for rhs in b.T:
+            x, residual = nonnegative_fit(a, rhs)
+            if residual > RESIDUAL_TOL * max(1.0, float(np.linalg.norm(rhs))):
+                return None
+            columns.append(x)
+        return np.column_stack(columns)
     m_a, m_b = a.shape[1], b.shape[1]
-    coef = np.kron(np.eye(m_b), a)
-    rhs = b.flatten(order="F")
-    if stochastic:
-        coef = np.vstack([coef, np.kron(np.ones((1, m_b)), np.eye(m_a))])
-        rhs = np.concatenate([rhs, np.ones(m_a)])
+    coef = np.vstack([np.kron(np.eye(m_b), a), np.kron(np.ones((1, m_b)), np.eye(m_a))])
+    rhs = np.concatenate([b.flatten(order="F"), np.ones(m_a)])
     x, residual = nonnegative_fit(coef, rhs)
     if residual > RESIDUAL_TOL * max(1.0, float(np.linalg.norm(rhs))):
         return None

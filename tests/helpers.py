@@ -6,6 +6,7 @@ enumeration or posed straight to ``scipy.optimize.linprog``, so agreement is
 a genuine two-route check.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -335,3 +336,9 @@ def grid_lp_best_response(e_p, contract, cost, prior, grid=None, target=None) ->
                            "dual_feasibility_tolerance": 1e-10})
     assert res.status == 0, res.message
     return float(-res.fun)
+
+
+def grid_priced(cost):
+    """The same prices under a kind the oracle solves on its belief grid:
+    an entropy cost keeps its vectorized price but not the entropy route."""
+    return replace(cost, kind="custom")

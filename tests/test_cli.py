@@ -23,6 +23,7 @@ ON_LINE = {"posteriors": [[0.25, 0.25, 0.5], [5 / 12, 5 / 12, 1 / 6]], "weights"
 OFF_LINE = {"posteriors": [[0.5, 1 / 6, 1 / 3], [1 / 6, 0.5, 1 / 3]], "weights": [0.5, 0.5]}
 ENTROPY3 = {"kind": "entropy", "prior": [1 / 3, 1 / 3, 1 / 3]}
 ENTROPY2 = {"kind": "entropy", "prior": [0.5, 0.5]}
+QUADRATIC2 = {"kind": "quadratic", "prior": [0.5, 0.5]}
 BINARY_TARGET = {"posteriors": [[0.7, 0.3], [0.3, 0.7]], "weights": [0.5, 0.5]}
 
 
@@ -178,7 +179,7 @@ def test_oracle_command(runner, tmp_path):
     args = [
         "oracle",
         "--experiment", write(tmp_path, "e.json", BINARY),
-        "--cost", write(tmp_path, "c.json", ENTROPY2),
+        "--cost", write(tmp_path, "c.json", QUADRATIC2),
         "--contract", write(tmp_path, "k.json", contract),
         "--target", write(tmp_path, "t.json", BINARY_TARGET),
         "--grid", "501",
@@ -325,7 +326,7 @@ def test_oracle_solver_failures_exit_4(runner, tmp_path, monkeypatch):
     # Only the oracle's LP stalls: the binary contract is closed-form.
     monkeypatch.setattr(oracle, "solve_lp", stalled)
     experiment = write(tmp_path, "e.json", BINARY)
-    cost = write(tmp_path, "c.json", ENTROPY2)
+    cost = write(tmp_path, "c.json", QUADRATIC2)
     contract = {"payments": [[2.0, 0.0], [0.0, 2.0]], "limited_liability": True}
     runs = [
         ["oracle", "--experiment", experiment, "--cost", cost,
@@ -337,3 +338,44 @@ def test_oracle_solver_failures_exit_4(runner, tmp_path, monkeypatch):
         result = runner.invoke(main, args)
         assert result.exit_code == 4, result.output
         assert "solver failure" in result.output and "stalled" in result.output
+
+
+def test_contract_no_ll_prices_the_target_once(runner, tmp_path, monkeypatch):
+    from infocontracts import cli, contracts, costs, implementability
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return costs.total_cost(*args, **kwargs)
+
+    for module in (implementability, contracts, cli):
+        monkeypatch.setattr(module, "total_cost", counted, raising=False)
+    args = [
+        "contract", "--no-ll",
+        "--experiment", write(tmp_path, "e.json", BINARY),
+        "--target", write(tmp_path, "t.json", BINARY_TARGET),
+        "--cost", write(tmp_path, "c.json", ENTROPY2),
+    ]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 1
+    cost = entropy_cost(Belief(ENTROPY2["prior"]))
+    target = PosteriorDistribution(BINARY_TARGET["posteriors"], BINARY_TARGET["weights"])
+    assert json.loads(result.output)["first_best"] == costs.total_cost(cost, target)
+
+
+def test_contract_verify_on_four_states(runner, tmp_path):
+    kernel = [[0.6, 0.2, 0.1, 0.1], [0.1, 0.5, 0.3, 0.1], [0.2, 0.1, 0.6, 0.1],
+              [0.1, 0.2, 0.2, 0.5]]
+    target = {"kernel": [[0.7, 0.2, 0.1], [0.2, 0.6, 0.2], [0.1, 0.3, 0.6], [0.3, 0.3, 0.4]]}
+    args = [
+        "contract", "--verify",
+        "--experiment", write(tmp_path, "e.json", {"kernel": kernel}),
+        "--target", write(tmp_path, "t.json", target),
+        "--cost", write(tmp_path, "c.json", {"kind": "entropy", "prior": [0.3, 0.2, 0.25, 0.25]}),
+    ]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.output)
+    assert -1e-9 <= payload["oracle_gap"] <= 1e-5

@@ -4,8 +4,10 @@ from helpers import (
     corner_multiplier_instance,
     equal_rows_instance,
     grid_lp_best_response,
+    grid_priced,
     random_interior_prior,
     random_stochastic,
+    shannon_entropy,
     tilted_implementable_target,
 )
 
@@ -145,9 +147,9 @@ def test_optimum_at_least_value_of_no_learning(binary_instance):
 def test_grid_refinement_converges(binary_instance):
     prior, cost, target = binary_instance
     report = optimal_contract(BINARY, target, cost)
-    coarse = agent_best_response(BINARY, report.contract, cost, prior,
+    coarse = agent_best_response(BINARY, report.contract, grid_priced(cost), prior,
                                  grid=GridSpec(resolution=501), target=target)
-    fine = agent_best_response(BINARY, report.contract, cost, prior,
+    fine = agent_best_response(BINARY, report.contract, grid_priced(cost), prior,
                                grid=GridSpec(resolution=1001), target=target)
     assert abs(fine.optimal_value - coarse.optimal_value) <= max(coarse.gap, 1e-9) + 1e-9
 
@@ -209,7 +211,7 @@ def test_positive_verdicts_round_trip_through_synthesis_and_oracle():
 
 
 def test_unsupported_state_count():
-    cost = entropy_cost(Belief.uniform(4))
+    cost = grid_priced(entropy_cost(Belief.uniform(4)))
     e = Experiment(np.eye(4))
     with pytest.raises(InputError):
         agent_best_response(e, Contract(np.zeros((4, 4))), cost, Belief.uniform(4))
@@ -235,7 +237,7 @@ def test_grid_augmentation_and_spec_round_trip(binary_instance):
     grid = GridSpec(resolution=101, augment=(special,))
     assert GridSpec.from_dict(grid.to_dict()).resolution == 101
     report = optimal_contract(BINARY, target, cost)
-    result = agent_best_response(BINARY, report.contract, cost, prior,
+    result = agent_best_response(BINARY, report.contract, grid_priced(cost), prior,
                                  grid=grid, target=target)
     # augmented points participate: grid carries base + prior + target + extra
     assert result.n_grid_points == 101 + 1 + 2 + 1
@@ -323,7 +325,7 @@ def test_pricing_certifies_an_optimum_outside_the_starting_set(monkeypatch):
     seen = _spy_envelope(monkeypatch)
     prior = Belief([0.6, 0.4])
     result = agent_best_response(Experiment(np.eye(2)), Contract(np.diag([5.0, 1.0])),
-                                 entropy_cost(prior), prior)
+                                 grid_priced(entropy_cost(prior)), prior)
     assert result.pricing_rounds > 1
     support = {tuple(b.probs) for b in result.support_beliefs}
     starting = {tuple(seen["points"][i]) for i in seen["start"]}
@@ -332,7 +334,7 @@ def test_pricing_certifies_an_optimum_outside_the_starting_set(monkeypatch):
     assert excess <= tol
     payments = np.diag([5.0, 1.0])
     full = grid_lp_best_response(Experiment(np.eye(2)), Contract(payments),
-                                 entropy_cost(prior), prior)
+                                 grid_priced(entropy_cost(prior)), prior)
     assert abs(result.optimal_value - full) <= 1e-9
 
 
@@ -343,7 +345,7 @@ def test_flat_envelope_is_certified_at_the_prior(monkeypatch, payments):
     seen = _spy_envelope(monkeypatch)
     prior = Belief([0.2, 0.5, 0.3])
     e = Experiment([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.2, 0.7]])
-    result = agent_best_response(e, Contract(payments), entropy_cost(prior), prior,
+    result = agent_best_response(e, Contract(payments), grid_priced(entropy_cost(prior)), prior,
                                  grid=GridSpec(resolution=101))
     assert result.optimal_value == pytest.approx(float(prior.probs @ e.kernel @ payments[:, 0]),
                                                  abs=1e-12)
@@ -356,7 +358,7 @@ def test_flat_envelope_is_certified_at_the_prior(monkeypatch, payments):
 def test_result_reports_columns_and_rounds(binary_instance):
     prior, cost, target = binary_instance
     report = optimal_contract(BINARY, target, cost)
-    result = agent_best_response(BINARY, report.contract, cost, prior, target=target)
+    result = agent_best_response(BINARY, report.contract, grid_priced(cost), prior, target=target)
     payload = result.to_dict()
     for key in ("lp_columns", "pricing_rounds"):
         assert type(payload[key]) is int and payload[key] > 0
@@ -368,7 +370,7 @@ def test_three_state_solve_at_401_points_per_axis_stays_small():
     rng = np.random.default_rng(43)
     e, target, cost = equal_rows_instance(rng)
     contract = optimal_contract(e, target, cost).contract
-    result = agent_best_response(e, contract, cost, cost.prior,
+    result = agent_best_response(e, contract, grid_priced(cost), cost.prior,
                                  grid=GridSpec(resolution=401), target=target)
     assert result.n_grid_points == 401 * 402 // 2 + 1 + target.size
     assert result.lp_columns <= 1000
@@ -383,7 +385,7 @@ def test_failed_restricted_lp_is_a_solver_failure(binary_instance, monkeypatch):
 
     monkeypatch.setattr(oracle, "solve_lp", stalled)
     with pytest.raises(SolverFailureError, match="stalled"):
-        agent_best_response(BINARY, Contract(np.eye(2)), cost, prior)
+        agent_best_response(BINARY, Contract(np.eye(2)), grid_priced(cost), prior)
 
 
 def test_cost_infinite_at_the_prior_is_an_input_error():
@@ -404,3 +406,136 @@ def test_simplex_grid_matches_the_row_by_row_construction():
                                  steps - i - np.arange(steps - i + 1)])
                 for i in range(steps + 1)]
         np.testing.assert_array_equal(simplex_grid(3, points), np.vstack(rows) / steps)
+
+
+def _entropy_cases():
+    """(experiment, contract, cost, agent prior) for the entropy route,
+    with contracts that are not optimal for any particular target."""
+    rng = np.random.default_rng(53)
+    cases = []
+    for _ in range(3):           # 2 states, random contracts
+        prior = random_interior_prior(rng, 2)
+        e = Experiment(random_stochastic(rng, 2, 3))
+        cases.append((e, Contract(rng.uniform(0, 2, (3, 3))), entropy_cost(prior), prior))
+    for _ in range(3):           # 3 states, Dirichlet priors, random contracts
+        prior = Belief(rng.dirichlet(np.full(3, 2.0)))
+        e = Experiment(random_stochastic(rng, 3, 3))
+        cases.append((e, Contract(rng.uniform(0, 2, (3, 3))), entropy_cost(prior), prior))
+    for _ in range(2):           # rank-2 equal-row kernels
+        e, _, cost = equal_rows_instance(rng)
+        cases.append((e, Contract(rng.uniform(0, 2, (3, 3))), cost, cost.prior))
+    payments = rng.uniform(0, 2, (3, 3))
+    payments[:, 0] = 0.5 * payments[:, 1]        # report 1 is dominated: optimum on a face
+    prior = Belief([0.3, 0.45, 0.25])
+    cases.append((Experiment(random_stochastic(rng, 3, 3)), Contract(payments),
+                  entropy_cost(prior), prior))
+    prior = Belief([0.2, 0.5, 0.3])              # entropy in bits
+    cases.append((Experiment(random_stochastic(rng, 3, 2)), Contract(rng.uniform(0, 3, (2, 3))),
+                  entropy_cost(prior, log_base=2), prior))
+    prior = Belief([0.5, 0.2, 0.3])              # the agent's prior is not the cost's
+    cases.append((Experiment(random_stochastic(rng, 3, 3)), Contract(rng.uniform(0, 2, (3, 2))),
+                  entropy_cost(Belief.uniform(3)), prior))
+    return cases
+
+
+def _independent_net_value(e, contract, cost, beliefs) -> np.ndarray:
+    """Net value of the best report at each belief (row), with the entropy
+    price recomputed from its formula."""
+    scale = 1.0 / np.log(cost.params["log_base"])
+    price = [scale * (shannon_entropy(cost.prior.probs) - shannon_entropy(b)) for b in beliefs]
+    return (beliefs @ e.kernel @ contract.payments).max(axis=1) - np.array(price)
+
+
+@pytest.mark.parametrize("case", _entropy_cases())
+def test_entropy_route_brackets_the_grid_lp(case):
+    e, contract, cost, prior = case
+    result = agent_best_response(e, contract, cost, prior)
+    assert result.route == "entropy"
+    lower, upper = result.bracket
+    assert upper == result.optimal_value
+    assert 0.0 <= upper - lower <= oracle.CERTIFICATE_TOL * max(1.0, abs(lower))
+    support = np.array([b.probs for b in result.support_beliefs])
+    weights = result.support_weights
+    assert weights.min() > 0.0
+    np.testing.assert_allclose(weights @ support, prior.probs, rtol=0, atol=1e-12)
+    value = float(weights @ _independent_net_value(e, contract, cost, support))
+    scale = max(1.0, abs(upper))
+    assert lower - 1e-10 * scale <= value <= upper + 1e-10 * scale
+    # A grid optimum is a lower bound on the agent's optimum, and a grid
+    # that also holds the support is worth at least the support.
+    grid = GridSpec(resolution=2001 if e.n_states == 2 else 101, augment=result.support_beliefs)
+    full = grid_lp_best_response(e, contract, cost, prior, grid=grid)
+    assert lower - 1e-9 <= full <= upper + 1e-9
+
+
+def test_dominated_report_gets_no_weight():
+    e, contract, cost, prior = _entropy_cases()[8]
+    result = agent_best_response(e, contract, cost, prior)
+    utilities = e.kernel @ contract.payments
+    for belief in result.support_beliefs:
+        assert np.argmax(belief.probs @ utilities) != 0
+    assert len(result.support_beliefs) <= 2
+
+
+@pytest.mark.parametrize("payments", [np.zeros((3, 3)), np.array([[1.0] * 3, [0.5] * 3, [2.0] * 3])])
+def test_entropy_route_merges_coincident_posteriors_at_the_prior(payments):
+    prior = Belief([0.2, 0.5, 0.3])
+    e = Experiment([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.2, 0.7]])
+    result = agent_best_response(e, Contract(payments), entropy_cost(prior), prior)
+    assert result.optimal_value == pytest.approx(float(prior.probs @ e.kernel @ payments[:, 0]),
+                                                 abs=1e-12)
+    assert len(result.support_beliefs) == 1
+    np.testing.assert_allclose(result.support_beliefs[0].probs, prior.probs, atol=1e-12)
+    assert result.support_weights == pytest.approx([1.0], abs=1e-12)
+
+
+def test_entropy_route_verifies_optimal_contracts_beyond_three_states():
+    rng = np.random.default_rng(59)
+    for n, m in ((4, 4), (4, 6), (10, 12)):
+        for _ in range(2):
+            e = Experiment(random_stochastic(rng, n, m))
+            prior = random_interior_prior(rng, n, low=0.5 / n)
+            cost = entropy_cost(prior)
+            target = posteriors(Experiment(random_stochastic(rng, n, 3)), prior)
+            report = optimal_contract(e, target, cost)
+            assert report.implementable
+            assert verify_contract(e, target, cost, report.contract)
+            result = agent_best_response(e, report.contract, cost, prior, target=target)
+            assert -1e-9 <= result.gap <= 1e-6
+
+
+def test_entropy_route_builds_no_grid_and_runs_no_lp(binary_instance, monkeypatch):
+    from infocontracts import numerics
+
+    prior, cost, target = binary_instance
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(oracle, "solve_lp", counted("solve_lp", oracle.solve_lp))
+    monkeypatch.setattr(oracle, "simplex_grid", counted("simplex_grid", oracle.simplex_grid))
+    monkeypatch.setattr(numerics, "linprog", counted("linprog", numerics.linprog))
+    contract = Contract([[4.0, 0.0], [0.0, 3.0]])
+    result = agent_best_response(BINARY, contract, cost, prior, grid=GridSpec(resolution=501),
+                                 target=target)
+    assert calls == []
+    assert result.iterations > 0
+    payload = result.to_dict()
+    assert payload["route"] == "entropy" and payload["grid"] is None
+    assert payload["bracket"] == list(result.bracket)
+    assert payload["n_grid_points"] == payload["lp_columns"] == payload["pricing_rounds"] == 0
+    agent_best_response(BINARY, contract, quadratic_cost(prior), prior)
+    assert "simplex_grid" in calls and "solve_lp" in calls
+
+
+def test_entropy_route_past_its_iteration_cap_is_a_solver_failure(binary_instance, monkeypatch):
+    prior, cost, _ = binary_instance
+    contract = Contract([[4.0, 0.0], [0.0, 3.0]])
+    assert agent_best_response(BINARY, contract, cost, prior).iterations > 1
+    monkeypatch.setattr(oracle, "MAX_ITERATIONS", 1)
+    with pytest.raises(SolverFailureError, match="not certified"):
+        agent_best_response(BINARY, contract, cost, prior)

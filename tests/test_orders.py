@@ -175,7 +175,7 @@ def test_binary_cost_order_predicts_kappa_ordering():
         instances += 1
 
 
-def test_cone_compare_runs_one_lp_per_direction(monkeypatch):
+def test_cone_compare_fits_one_column_at_a_time(monkeypatch):
     from infocontracts import numerics
 
     rng = np.random.default_rng(113)
@@ -196,7 +196,10 @@ def test_cone_compare_runs_one_lp_per_direction(monkeypatch):
     monkeypatch.setattr(numerics, "linprog", counted_linprog)
     verdict = cone_compare(Experiment(a), Experiment(b))
     assert verdict.dominates_weakly
-    assert fits == [(12, 16), (12, 16)]
+    # Forward: one (3, 4) fit per column of b.  Backward: the columns of a
+    # up to the first one outside Cone(b), which ends the direction.
+    outside = next(j for j in range(4) if not direct_nonnegative_feasible(b, a[:, [j]], False))
+    assert fits == [(3, 4)] * (4 + outside + 1)
     assert lps == []
     np.testing.assert_allclose(a @ verdict.certificate["coefficients"], b, atol=1e-9)
     assert verdict.certificate["coefficients"].min() >= 0.0
