@@ -26,6 +26,7 @@ from .contracts import (
     expected_payment,
     optimal_contract,
     synthesize_family,
+    _zero_rent,
 )
 from .costs import cost_from_dict, entropy_cost
 from .errors import InputError, NotImplementableError, SolverFailureError
@@ -204,7 +205,7 @@ def cmd_contract(experiment_path, target_path, cost_path, no_ll, verify, grid,
         try:
             if no_ll:
                 family = synthesize_family(e_p, target, cost, rank_tol=tol_rank)
-                contract = family.zero_rent_member(target, cost.prior)
+                contract = _zero_rent(family, target, cost.prior)
                 payload = {
                     "contract": contract.to_dict(),
                     "expected_payment": expected_payment(e_p, target, cost.prior, contract),

@@ -154,24 +154,6 @@ class ContractFamily:
         coeffs = rng.normal(scale=scale, size=(self.null_basis.shape[1], self.base.shape[1]))
         return self.member(z=z, w=coeffs)
 
-    def zero_rent_member(self, target: PosteriorDistribution, prior: Belief) -> Contract:
-        """The member whose expected payment under honest play of ``target``
-        is exactly the information cost ``report.first_best``, leaving the
-        agent a net payoff of zero: a uniform bonus along ``pinv @ 1``.
-        ``target`` and ``prior`` are the target and cost prior the family
-        was synthesized for."""
-        projector = self.pinv.projector
-        projected_cost = float(
-            target.weights @ np.einsum("nk,nk->k", target.posterior_matrix(), projector @ self.nabla)
-        )
-        ones = np.ones(self.experiment.n_states)
-        denominator = float(prior.probs @ projector @ ones)
-        if abs(denominator) < 1e-12:
-            raise InputError("degenerate bonus direction; cannot normalize the benchmark contract")
-        z = (self.report.first_best - projected_cost) / denominator
-        payments = self.base + z * (self.pinv.pinv @ ones)[:, None]
-        return Contract(payments, limited_liability=False, realizations=self.experiment.realizations)
-
     def foc_deviation(self, contract: Contract) -> float:
         """Max pairwise deviation between columns of ``kernel @ T - nabla``;
         zero (to tolerance) for every genuine member."""
@@ -324,11 +306,29 @@ def _min_payment_lp(kernel, target, nabla, free, lp_tol) -> tuple[np.ndarray, np
     return sol.x[:m * k].reshape(k, m).T, nabla - eta.reshape((n, k), order="F")
 
 
+def _zero_rent(family: ContractFamily, target: PosteriorDistribution, prior: Belief) -> Contract:
+    """The member of ``family`` whose expected payment under honest play of
+    ``target`` is exactly the information cost ``report.first_best``,
+    leaving the agent a net payoff of zero: a uniform bonus along
+    ``pinv @ 1``.  ``target`` and ``prior`` must be the target and cost
+    prior the family was synthesized for."""
+    projector = family.pinv.projector
+    projected_cost = float(
+        target.weights @ np.einsum("nk,nk->k", target.posterior_matrix(), projector @ family.nabla)
+    )
+    ones = np.ones(family.experiment.n_states)
+    denominator = float(prior.probs @ projector @ ones)
+    if abs(denominator) < 1e-12:
+        raise InputError("degenerate bonus direction; cannot normalize the benchmark contract")
+    z = (family.report.first_best - projected_cost) / denominator
+    payments = family.base + z * (family.pinv.pinv @ ones)[:, None]
+    return Contract(payments, limited_liability=False, realizations=family.experiment.realizations)
+
+
 def first_best_contract(e_p: Experiment, target: PosteriorDistribution,
                         cost: PosteriorCost, rank_tol: float | None = None) -> Contract:
-    """Zero-rent benchmark contract when payments may be negative (see
-    :meth:`ContractFamily.zero_rent_member`)."""
-    return synthesize_family(e_p, target, cost, rank_tol).zero_rent_member(target, cost.prior)
+    """Zero-rent benchmark contract when payments may be negative."""
+    return _zero_rent(synthesize_family(e_p, target, cost, rank_tol), target, cost.prior)
 
 
 def expected_payment(e_p: Experiment, target: PosteriorDistribution,

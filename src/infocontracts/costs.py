@@ -34,6 +34,12 @@ class PosteriorCost:
     normalized gradient.  The three flags describe strict convexity, whether
     the slope blows up at the simplex boundary, and whether the price itself
     stays finite there.
+
+    ``kind`` and ``params`` label the prices for serialization and for the
+    oracle: ``kind == "entropy"`` with a ``log_base`` param promises the
+    Shannon prices of :func:`entropy_cost` in that base, and the oracle
+    solves such a cost by its entropy route, reading ``value`` only at the
+    prior.
     """
 
     kind: str

@@ -129,8 +129,7 @@ class OracleResult:
 
     ``route`` names the solver that ran.  On the ``"entropy"`` route,
     ``bracket`` is ``(f(q), optimal_value)``: the value of the returned
-    channel and the certified upper bound, and ``iterations`` counts the
-    solver's steps; no grid is built, so ``grid`` is None and the grid
+    channel and the certified upper bound; no grid is built, so ``grid`` is None and the grid
     counts are 0.  On the ``"grid"`` route ``optimal_value`` is the grid
     optimum, a lower bound on the agent's optimum over all beliefs, and
     ``bracket`` is None.
@@ -147,7 +146,6 @@ class OracleResult:
     lp_columns: int = 0
     pricing_rounds: int = 0
     bracket: tuple[float, float] | None = None
-    iterations: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -158,7 +156,6 @@ class OracleResult:
             "weights": self.support_weights.tolist(),
             "target_value": self.target_value,
             "gap": self.gap,
-            "iterations": self.iterations,
             "n_grid_points": self.n_grid_points,
             "lp_columns": self.lp_columns,
             "pricing_rounds": self.pricing_rounds,
@@ -213,7 +210,8 @@ def _concavify(points: np.ndarray, values: np.ndarray, prior: np.ndarray,
 
 
 def _entropy_scale(cost: PosteriorCost) -> float | None:
-    """``1 / ln(log_base)`` for a cost built by ``entropy_cost``, else None."""
+    """``1 / ln(log_base)`` for a cost labelled as ``entropy_cost`` labels
+    it, else None.  The label is trusted: the route prices only the prior."""
     if cost.kind == "entropy" and "log_base" in cost.params:
         return 1.0 / math.log(cost.params["log_base"])
     return None
@@ -221,13 +219,12 @@ def _entropy_scale(cost: PosteriorCost) -> float | None:
 
 class _Channel(NamedTuple):
     """Outcome of the entropy route: the channel's posteriors (rows) and
-    weights, ``f(q)``, its certified upper bound and the iterations run."""
+    weights, ``f(q)`` and its certified upper bound."""
 
     posteriors: np.ndarray
     weights: np.ndarray
     value: float
     upper: float
-    iterations: int
 
 
 def _rational_inattention(utilities: np.ndarray, prior: np.ndarray, scale: float) -> _Channel:
@@ -251,7 +248,7 @@ def _rational_inattention(utilities: np.ndarray, prior: np.ndarray, scale: float
         return z, (mu0 / z) @ lik, value(q)
 
     q = np.full(lik.shape[1], 1.0 / lik.shape[1])
-    for iteration in range(MAX_ITERATIONS):
+    for _ in range(MAX_ITERATIONS):
         z, d, f = evaluate(q)
         worst = int(np.argmax(d))
         bound = scale * max(0.0, math.log(d[worst]))
@@ -259,7 +256,7 @@ def _rational_inattention(utilities: np.ndarray, prior: np.ndarray, scale: float
             on = q > 0.0
             posteriors = np.zeros((int(on.sum()), prior.size))
             posteriors[:, charged] = (lik[:, on] * (mu0 / z)[:, None]).T / d[on, None]
-            return _Channel(posteriors, q[on] * d[on], f, f + bound, iteration)
+            return _Channel(posteriors, q[on] * d[on], f, f + bound)
         if q[worst] == 0.0:
             q = _readmit(q, worst, value, f)
             continue
@@ -351,7 +348,7 @@ def _entropy_response(utilities: np.ndarray, cost: PosteriorCost, prior: np.ndar
     return OracleResult(
         optimal_value=channel.upper - offset, support_beliefs=tuple(Belief(p) for p in points),
         support_weights=weights, target_value=None, gap=None, route="entropy",
-        bracket=(channel.value - offset, channel.upper - offset), iterations=channel.iterations,
+        bracket=(channel.value - offset, channel.upper - offset),
     )
 
 
@@ -400,7 +397,10 @@ def agent_best_response(e_p: Experiment, t: Contract, cost: PosteriorCost,
 
     A cost built by ``entropy_cost`` takes the certified
     rational-inattention route at any number of states, and ``grid`` is
-    not used.  Any other cost is solved on the belief grid at 2 or 3
+    not used.  The route is chosen from the cost's labels (``kind ==
+    "entropy"`` with a ``log_base`` param), which promise Shannon prices in
+    that base; a cost that carries those labels over other prices is solved
+    as if it had the Shannon prices.  Any other cost is solved on the belief grid at 2 or 3
     states: the net value of the best report at every grid belief, and its
     best expectation over grid distributions averaging back to the prior
     (an LP, solved by column generation).  Returns the achieving support

@@ -251,25 +251,27 @@ def _grid_cases():
     cases = []
     for _ in range(4):           # 3 states, Dirichlet priors, random contracts
         prior = Belief(rng.dirichlet(np.full(3, 2.0)))
-        cost = entropy_cost(prior) if rng.random() < 0.5 else quadratic_cost(prior, rng.uniform(0.5, 2))
+        cost = (grid_priced(entropy_cost(prior)) if rng.random() < 0.5
+                else quadratic_cost(prior, rng.uniform(0.5, 2)))
         e = Experiment(random_stochastic(rng, 3, 3))
         cases.append((e, Contract(rng.uniform(0, 2, (3, 3))), cost, prior, coarse, None))
     for _ in range(4):           # 2 states, random contracts, default grid
         prior = random_interior_prior(rng, 2)
-        cost = entropy_cost(prior) if rng.random() < 0.5 else quadratic_cost(prior, rng.uniform(0.5, 2))
+        cost = (grid_priced(entropy_cost(prior)) if rng.random() < 0.5
+                else quadratic_cost(prior, rng.uniform(0.5, 2)))
         e = Experiment(random_stochastic(rng, 2, 3))
         cases.append((e, Contract(rng.uniform(0, 2, (3, 2))), cost, prior, GridSpec(), None))
     for _ in range(3):           # rank-deficient equal-row kernels, optimal contracts
         e, target, cost = equal_rows_instance(rng)
         contract = optimal_contract(e, target, cost).contract
-        cases.append((e, contract, cost, cost.prior, coarse, target))
+        cases.append((e, contract, grid_priced(cost), cost.prior, coarse, target))
     for _ in range(3):           # 3x2 corner kernels, quadratic cost, optimal contracts
         e, target, cost = corner_multiplier_instance(rng)
         contract = optimal_contract(e, target, cost).contract
         cases.append((e, contract, cost, cost.prior, coarse, target))
     e, target, cost = equal_rows_instance(rng)   # augment beliefs off the grid
     extra = (Belief([0.1234, 0.4321, 0.4445]), Belief([0.7071, 0.1, 0.1929]))
-    cases.append((e, Contract(rng.uniform(0, 2, (3, 3))), cost, cost.prior,
+    cases.append((e, Contract(rng.uniform(0, 2, (3, 3))), grid_priced(cost), cost.prior,
                   GridSpec(resolution=101, augment=extra), target))
     prior = Belief([0.3, 0.3, 0.4])              # infinite price where mu_1 > 0.8
     walled = custom_cost(
@@ -523,7 +525,6 @@ def test_entropy_route_builds_no_grid_and_runs_no_lp(binary_instance, monkeypatc
     result = agent_best_response(BINARY, contract, cost, prior, grid=GridSpec(resolution=501),
                                  target=target)
     assert calls == []
-    assert result.iterations > 0
     payload = result.to_dict()
     assert payload["route"] == "entropy" and payload["grid"] is None
     assert payload["bracket"] == list(result.bracket)
@@ -535,7 +536,7 @@ def test_entropy_route_builds_no_grid_and_runs_no_lp(binary_instance, monkeypatc
 def test_entropy_route_past_its_iteration_cap_is_a_solver_failure(binary_instance, monkeypatch):
     prior, cost, _ = binary_instance
     contract = Contract([[4.0, 0.0], [0.0, 3.0]])
-    assert agent_best_response(BINARY, contract, cost, prior).iterations > 1
+    agent_best_response(BINARY, contract, cost, prior)
     monkeypatch.setattr(oracle, "MAX_ITERATIONS", 1)
     with pytest.raises(SolverFailureError, match="not certified"):
         agent_best_response(BINARY, contract, cost, prior)
