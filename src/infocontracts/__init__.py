@@ -60,9 +60,6 @@ from .implementability import (
     compare_implementable_sets,
 )
 from .numerics import (
-    LpProblem,
-    LpSolution,
-    LpStatus,
     PseudoInverse,
     column_space_residual,
     matrix_rank,

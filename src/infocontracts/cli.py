@@ -135,8 +135,6 @@ _tol_rank = click.option("--tol-rank", type=float, default=None,
                          help="Relative singular-value cutoff for rank decisions.")
 _tol_residual = click.option("--tol-residual", type=float, default=1e-9, show_default=True,
                              help="Relative tolerance for column-space residual verdicts.")
-_tol_lp = click.option("--tol-lp", type=float, default=None,
-                       help="Feasibility tolerance of the cost-minimization LP.")
 
 
 @click.group(context_settings=CONTEXT_SETTINGS)
@@ -190,11 +188,10 @@ def cmd_implementable(experiment_path, target_path, cost_path, strict, tol_resid
 @click.option("--grid", type=int, default=None,
               help="Grid points per axis for --verify (grid route; unused under an entropy cost).")
 @_tol_rank
-@_tol_lp
 @_format_option
 @_output_option
 def cmd_contract(experiment_path, target_path, cost_path, no_ll, verify, grid,
-                 tol_rank, tol_lp, fmt, output):
+                 tol_rank, fmt, output):
     """Synthesize the cost-minimizing (or zero-rent benchmark) contract."""
     e_p = _load_experiment(experiment_path)
     cost = _load_cost(cost_path)
@@ -202,6 +199,7 @@ def cmd_contract(experiment_path, target_path, cost_path, no_ll, verify, grid,
     contract = None
     failed = False
     with _library_errors():
+        grid_spec = GridSpec(resolution=grid)
         try:
             if no_ll:
                 family = synthesize_family(e_p, target, cost, rank_tol=tol_rank)
@@ -213,7 +211,7 @@ def cmd_contract(experiment_path, target_path, cost_path, no_ll, verify, grid,
                     "limited_liability": False,
                 }
             else:
-                report = optimal_contract(e_p, target, cost, rank_tol=tol_rank, lp_tol=tol_lp)
+                report = optimal_contract(e_p, target, cost, rank_tol=tol_rank)
                 contract = report.contract
                 payload = report.to_dict()
                 failed = not report.implementable
@@ -223,7 +221,7 @@ def cmd_contract(experiment_path, target_path, cost_path, no_ll, verify, grid,
 
         if verify and contract is not None:
             result = agent_best_response(e_p, contract, cost, cost.prior,
-                                         grid=GridSpec(resolution=grid), target=target)
+                                         grid=grid_spec, target=target)
             payload["oracle_gap"] = result.gap
             payload["oracle_optimal_value"] = result.optimal_value
 

@@ -33,14 +33,13 @@ from .experiments import (
     experiment_from_posteriors,
 )
 from .implementability import ImplementabilityReport, check_implementable, difference_operator
-from .numerics import LpProblem, LpStatus, PseudoInverse, solve_lp
+from .numerics import PseudoInverse, solve_lp
 from .orders import binary_likelihood_ratios
 
 # Entries of a limited-liability contract may dip this far below zero
-# before we refuse to call it nonnegative (LP vertex roundoff).
+# before we refuse to call it nonnegative (roundoff in a contract read from
+# outside; the contracts this module builds are exactly nonnegative).
 LL_TOL = 1e-12
-# Clamp-to-zero window for solver dust on binding payments.
-_CLAMP = 1e-10
 # Agreement required between the two expected-payment evaluations.
 PAYMENT_AGREEMENT_TOL = 1e-12
 
@@ -223,29 +222,24 @@ class CostReport:
         }
 
 
-def _clamp_zero(payments: np.ndarray) -> np.ndarray:
-    out = payments.copy()
-    out[(out < 0.0) & (out > -_CLAMP)] = 0.0
-    return out
-
-
 def optimal_contract(e_p: Experiment, target: PosteriorDistribution,
-                     cost: PosteriorCost, rank_tol: float | None = None,
-                     lp_tol: float | None = None) -> CostReport:
+                     cost: PosteriorCost, rank_tol: float | None = None) -> CostReport:
     """Cheapest limited-liability contract implementing ``target``.
 
     When the target has a single posterior, or it is interior and the
     kernel has no null space, the optimum is closed-form: shift the base
     contract by minus its row minima, so every realization leaves at least
-    one report unpaid.  Otherwise side bets exist (deficient row rank, or
-    more realizations than states) or the boundary multipliers of a corner
-    target are free, and the payments are optimized directly by one LP:
+    one report unpaid (exactly nonnegative in floating point).  Otherwise
+    side bets exist (deficient row rank, or more realizations than states)
+    or the boundary multipliers of a corner target are free, and the
+    payments are optimized directly by one LP:
     ``T >= 0`` and ``eta >= 0`` on the cells the posteriors rule out, such
     that ``kernel @ T_k - lambda = nabla_k - eta_k`` for every report ``k``
     and some multiplier ``lambda``, minimizing the expected payment.  The
     reported cost is ``first_best + mu0 . lambda(T*)``, which equals the
     expected payment of the optimal contract (re-evaluated independently as
-    ``payment_check``).
+    ``payment_check``).  A payment LP that HiGHS does not solve, or whose
+    solution fails re-verification, raises :class:`SolverFailureError`.
     """
     report = check_implementable(e_p, target, cost, rank_tol=rank_tol)
     first_best = report.first_best
@@ -260,13 +254,7 @@ def optimal_contract(e_p: Experiment, target: PosteriorDistribution,
     if target.size == 1 or (family.null_basis.shape[1] == 0 and not free.any()):
         payments, nabla = family.base - rowmin(family.base)[:, None], family.nabla
     else:
-        payments, nabla = _min_payment_lp(e_p.kernel, target, report.marginal_costs,
-                                          free, lp_tol)
-    payments = _clamp_zero(payments)
-    if payments.min() < -LL_TOL:
-        raise SolverFailureError(
-            f"cost-minimization LP returned a negative payment ({payments.min():.3e})"
-        )
+        payments, nabla = _min_payment_lp(e_p.kernel, target, report.marginal_costs, free)
     contract = Contract(payments, limited_liability=True,
                         realizations=e_p.realizations)
     # lambda(T*): the column mean of the first-order condition.
@@ -282,7 +270,7 @@ def optimal_contract(e_p: Experiment, target: PosteriorDistribution,
     )
 
 
-def _min_payment_lp(kernel, target, nabla, free, lp_tol) -> tuple[np.ndarray, np.ndarray]:
+def _min_payment_lp(kernel, target, nabla, free) -> tuple[np.ndarray, np.ndarray]:
     """Payments ``T >= 0`` (M x K) and boundary multipliers ``eta >= 0`` on
     the ``free`` cells minimizing the expected payment subject to
     ``kernel @ T_k - lambda = nabla_k - eta_k`` for every report ``k``.  The
@@ -295,15 +283,15 @@ def _min_payment_lp(kernel, target, nabla, free, lp_tol) -> tuple[np.ndarray, np
     d = difference_operator(k)
     free = free.flatten(order="F")
     weighted = target.posterior_matrix() * target.weights
-    lp = LpProblem(c=np.concatenate([(weighted.T @ kernel).reshape(-1), np.zeros(free.sum())]),
-                   a_eq=np.hstack([np.kron(d.T, kernel), np.kron(d.T, np.eye(n))[:, free]]),
-                   b_eq=(nabla @ d).flatten(order="F"), bounds=(0, None))
-    sol = solve_lp(lp) if lp_tol is None else solve_lp(lp, feasibility_tol=lp_tol)
-    if sol.status is not LpStatus.OPTIMAL:
-        raise SolverFailureError(f"cost-minimization LP did not resolve: {sol.message}")
+    try:
+        x, _ = solve_lp(np.concatenate([(weighted.T @ kernel).reshape(-1), np.zeros(free.sum())]),
+                        np.hstack([np.kron(d.T, kernel), np.kron(d.T, np.eye(n))[:, free]]),
+                        (nabla @ d).flatten(order="F"))
+    except SolverFailureError as exc:
+        raise SolverFailureError(f"cost-minimization LP did not resolve: {exc}") from exc
     eta = np.zeros(n * k)
-    eta[free] = sol.x[m * k:]
-    return sol.x[:m * k].reshape(k, m).T, nabla - eta.reshape((n, k), order="F")
+    eta[free] = x[m * k:]
+    return x[:m * k].reshape(k, m).T, nabla - eta.reshape((n, k), order="F")
 
 
 def _zero_rent(family: ContractFamily, target: PosteriorDistribution, prior: Belief) -> Contract:

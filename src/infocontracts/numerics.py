@@ -1,9 +1,13 @@
-"""Dense matrix kernels, nonnegative least squares, and the LP solving
-contract used by every other module.
+"""Dense matrix kernels, nonnegative least squares, and the one LP call
+used by every other module.
 
 Every nonnegative-feasibility question (is there ``x >= 0`` with
 ``A x = b``?) is answered by :func:`nonnegative_fit` and decided by its
-residual; HiGHS is kept for the LPs that optimize an objective.
+residual.  HiGHS is kept for the LPs that optimize an objective, which are
+all in standard form: ``min c'x`` subject to ``A x = b`` and ``x >= 0``.
+:func:`solve_lp` re-verifies each HiGHS optimum to ``LP_FEASIBILITY_TOL``,
+returns an exactly nonnegative ``x`` and the equality duals, and raises
+:class:`SolverFailureError` on anything else.
 
 Everything here is pure: inputs are never mutated and calls on distinct
 problem instances are safe to run concurrently.
@@ -12,7 +16,6 @@ problem instances are safe to run concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 from scipy.optimize import linprog, nnls
@@ -23,9 +26,9 @@ from .errors import DimensionMismatchError, InputError, SolverFailureError
 # sigma_max * max(rows, cols) * RANK_TOL_FACTOR, i.e. scale-free.
 RANK_TOL_FACTOR = 1e-12
 
-# Feasibility tolerances: LP constraint violation, and the relative
-# least-squares residual behind every column-space and nonnegative-fit
-# verdict.
+# Feasibility tolerances: LP constraint and sign violation, and the
+# relative least-squares residual behind every column-space and
+# nonnegative-fit verdict.
 LP_FEASIBILITY_TOL = 1e-7
 RESIDUAL_TOL = 1e-9
 
@@ -129,100 +132,28 @@ def matrix_rank(a, rank_tol: float | None = None) -> int:
     return _svd(as_matrix(a), rank_tol)[3]
 
 
-class LpStatus(Enum):
-    OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
-    FAILED = "failed"
+def solve_lp(c, a_eq, b_eq) -> tuple[np.ndarray, np.ndarray]:
+    """``x >= 0`` minimizing ``c @ x`` subject to ``a_eq @ x = b_eq``, and
+    the equality duals ``y``, by the HiGHS simplex backend.
 
-
-@dataclass(frozen=True)
-class LpProblem:
-    """min c.x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  bounds per variable.
-
-    ``bounds`` is a list of (lo, hi) pairs with ``None`` for unbounded;
-    the default leaves every variable free (unlike scipy's default).
+    Raises :class:`SolverFailureError`, with HiGHS's message, unless HiGHS
+    reports an optimum that passes a re-check at ``LP_FEASIBILITY_TOL``: the
+    equality residual, ``min(x) >= -tol`` and agreement between ``c @ x``
+    and the reported objective.  The returned ``x`` is then clipped at
+    zero, so it is exactly nonnegative.
     """
-
-    c: np.ndarray
-    a_ub: np.ndarray | None = None
-    b_ub: np.ndarray | None = None
-    a_eq: np.ndarray | None = None
-    b_eq: np.ndarray | None = None
-    bounds: list | tuple | None = None
-
-    @property
-    def n_vars(self) -> int:
-        return np.asarray(self.c).size
-
-
-@dataclass(frozen=True)
-class LpSolution:
-    status: LpStatus
-    x: np.ndarray | None
-    objective: float | None
-    max_violation: float = 0.0
-    dual_eq: np.ndarray | None = None
-    dual_ub: np.ndarray | None = None
-    message: str = ""
-
-    @property
-    def is_optimal(self) -> bool:
-        return self.status is LpStatus.OPTIMAL
-
-
-_STATUS_MAP = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED}
-
-
-def solve_lp(problem: LpProblem, feasibility_tol: float = LP_FEASIBILITY_TOL) -> LpSolution:
-    """Solve a dense LP with the HiGHS simplex backend.
-
-    An ``OPTIMAL`` result is re-checked: constraint violations above
-    ``feasibility_tol`` or a mismatch between the reported and recomputed
-    objective downgrade the status to ``FAILED`` rather than returning a
-    silently wrong answer.
-    """
-    c = as_vector(problem.c, "objective")
-    kwargs = {}
-    if problem.a_ub is not None:
-        kwargs["A_ub"] = as_matrix(problem.a_ub, "A_ub")
-        kwargs["b_ub"] = as_vector(problem.b_ub, "b_ub")
-    if problem.a_eq is not None:
-        kwargs["A_eq"] = as_matrix(problem.a_eq, "A_eq")
-        kwargs["b_eq"] = as_vector(problem.b_eq, "b_eq")
-    bounds = problem.bounds if problem.bounds is not None else (None, None)
-    res = linprog(c, bounds=bounds, method="highs", **kwargs)
-
-    status = _STATUS_MAP.get(res.status, LpStatus.FAILED)
-    if status is not LpStatus.OPTIMAL:
-        return LpSolution(status=status, x=None, objective=None, message=res.message)
-
+    c = as_vector(c, "objective")
+    a_eq, b_eq = as_matrix(a_eq, "A_eq"), as_vector(b_eq, "b_eq")
+    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    if res.status != 0:
+        raise SolverFailureError(res.message)
     x = np.asarray(res.x, dtype=float)
-    violation = 0.0
-    if problem.a_ub is not None:
-        violation = max(violation, float(np.max(kwargs["A_ub"] @ x - kwargs["b_ub"], initial=0.0)))
-    if problem.a_eq is not None:
-        violation = max(violation, float(np.max(np.abs(kwargs["A_eq"] @ x - kwargs["b_eq"]), initial=0.0)))
-    violation = max(violation, _bounds_violation(x, bounds))
+    violation = max(float(np.max(np.abs(a_eq @ x - b_eq))), -float(x.min()))
     objective = float(c @ x)
-    if violation > feasibility_tol or abs(objective - res.fun) > feasibility_tol * max(1.0, abs(objective)):
-        return LpSolution(
-            status=LpStatus.FAILED, x=x, objective=objective, max_violation=violation,
-            message=f"solution failed verification (violation={violation:.3e})",
-        )
-    dual_eq = getattr(getattr(res, "eqlin", None), "marginals", None)
-    dual_ub = getattr(getattr(res, "ineqlin", None), "marginals", None)
-    return LpSolution(
-        status=LpStatus.OPTIMAL, x=x, objective=objective, max_violation=violation,
-        dual_eq=None if dual_eq is None else np.asarray(dual_eq, dtype=float),
-        dual_ub=None if dual_ub is None else np.asarray(dual_ub, dtype=float),
-    )
-
-
-def _bounds_violation(x: np.ndarray, bounds) -> float:
-    # None bounds become NaN, which fmax skips.
-    lo, hi = np.broadcast_to(np.array(bounds, dtype=float).reshape(-1, 2), (x.size, 2)).T
-    return float(np.fmax.reduce(np.concatenate([lo - x, x - hi]), initial=0.0))
+    if (violation > LP_FEASIBILITY_TOL
+            or abs(objective - res.fun) > LP_FEASIBILITY_TOL * max(1.0, abs(objective))):
+        raise SolverFailureError(f"solution failed verification (violation={violation:.3e})")
+    return np.maximum(x, 0.0), np.asarray(res.eqlin.marginals, dtype=float)
 
 
 def nonnegative_fit(a, b) -> tuple[np.ndarray, float]:

@@ -52,7 +52,7 @@ from .contracts import Contract
 from .costs import PosteriorCost
 from .errors import DimensionMismatchError, InputError, SolverFailureError
 from .experiments import Belief, Experiment, PosteriorDistribution
-from .numerics import LpProblem, LpStatus, solve_lp
+from .numerics import solve_lp
 
 DEFAULT_RESOLUTION = {2: 2001, 3: 201}
 MIN_RESOLUTION = 101
@@ -192,18 +192,18 @@ def _concavify(points: np.ndarray, values: np.ndarray, prior: np.ndarray,
     rounds = 0
     while True:
         rounds += 1
-        sol = solve_lp(LpProblem(c=-values[active], a_eq=lifted[active].T, b_eq=b_eq,
-                                 bounds=(0, None)))
-        if sol.status is not LpStatus.OPTIMAL:
-            raise SolverFailureError(f"best-response LP did not resolve: {sol.message}")
+        try:
+            weights, duals = solve_lp(-values[active], lifted[active].T, b_eq)
+        except SolverFailureError as exc:
+            raise SolverFailureError(f"best-response LP did not resolve: {exc}") from exc
         # HiGHS's equality marginals y satisfy values + lifted @ y <= 0 on
         # the active set, so -y is the plane the envelope lies under.
-        plane = -sol.dual_eq
+        plane = -duals
         excess = values - lifted @ plane
         excess[active] = -np.inf
         entering = np.flatnonzero(excess > tol)
         if entering.size == 0:
-            return _Envelope(active, sol.x, plane, rounds)
+            return _Envelope(active, weights, plane, rounds)
         if entering.size > PRICING_BATCH:
             entering = entering[np.argpartition(excess[entering], -PRICING_BATCH)[-PRICING_BATCH:]]
         active = np.concatenate([active, entering])

@@ -1,9 +1,9 @@
 """Shared generators and independent oracles for the test suite.
 
 The oracles here deliberately avoid the library's own kernels: rank is
-recomputed by exact fraction Gaussian elimination, LPs by brute-force vertex
-enumeration or posed straight to ``scipy.optimize.linprog``, so agreement is
-a genuine two-route check.
+recomputed by exact fraction Gaussian elimination, LPs by brute-force
+basic-solution enumeration or posed straight to ``scipy.optimize.linprog``,
+so agreement is a genuine two-route check.
 """
 
 from dataclasses import replace
@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import OptimizeResult, linprog
 
 from infocontracts import Belief, Experiment, PosteriorDistribution, entropy_cost
 
@@ -39,54 +39,36 @@ def exact_rank(matrix) -> int:
     return rank
 
 
-def brute_force_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, box=2.0, tol=1e-9):
-    """Vertex-enumeration LP oracle for box-bounded problems.
+def brute_force_lp(c, a_eq, b_eq, tol=1e-9):
+    """Basic-solution enumeration oracle for standard-form LPs
+    ``min c @ x`` subject to ``a_eq @ x = b_eq`` and ``x >= 0`` whose
+    feasible set is bounded, for example because one row is ``1'x = 1``.
 
-    Every variable is constrained to [-box, box], so the feasible set is a
-    polytope and any optimum sits at a vertex: a point where n linearly
-    independent constraints (inequality rows, equality rows, or box faces)
-    are active.  Returns (status, optimal value).
+    A bounded feasible set is a polytope, and any optimum sits at a vertex:
+    a basic feasible solution, nonzero only on ``rank(a_eq)`` linearly
+    independent columns.  Every such column set is tried.  Returns
+    (status, optimal value).
     """
-    c = np.asarray(c, dtype=float)
-    n = c.size
-    rows = []
-    rhs = []
-    if a_ub is not None:
-        for row, b in zip(np.asarray(a_ub, dtype=float), np.asarray(b_ub, dtype=float)):
-            rows.append((row, b, "ub"))
-    for i in range(n):
-        face = np.zeros(n)
-        face[i] = 1.0
-        rows.append((face, box, "ub"))
-        rows.append((-face, box, "ub"))
-    eq_rows = []
-    if a_eq is not None:
-        for row, b in zip(np.asarray(a_eq, dtype=float), np.asarray(b_eq, dtype=float)):
-            eq_rows.append((row, b))
-
+    c, a_eq, b_eq = (np.asarray(v, dtype=float) for v in (c, a_eq, b_eq))
+    rank = np.linalg.matrix_rank(a_eq)
     best = None
-    n_free = n - len(eq_rows)
-    for active in combinations(range(len(rows)), max(n_free, 0)):
-        a_mat = [rows[i][0] for i in active] + [r for r, _ in eq_rows]
-        b_vec = [rows[i][1] for i in active] + [b for _, b in eq_rows]
-        a_mat = np.array(a_mat)
-        if a_mat.shape[0] != n or np.linalg.matrix_rank(a_mat) < n:
+    for basis in combinations(range(c.size), rank):
+        columns = a_eq[:, basis]
+        if np.linalg.matrix_rank(columns) < rank:
             continue
-        try:
-            x = np.linalg.solve(a_mat, np.array(b_vec))
-        except np.linalg.LinAlgError:
-            continue
-        feasible = True
-        if a_ub is not None:
-            feasible &= bool(np.all(np.asarray(a_ub) @ x <= np.asarray(b_ub) + tol))
-        for row, b in eq_rows:
-            feasible &= abs(row @ x - b) <= tol
-        feasible &= bool(np.all(np.abs(x) <= box + tol))
-        if feasible:
+        x = np.zeros(c.size)
+        x[list(basis)] = np.linalg.lstsq(columns, b_eq, rcond=None)[0]
+        if np.abs(a_eq @ x - b_eq).max() <= tol and x.min() >= -tol:
             value = float(c @ x)
             if best is None or value < best:
                 best = value
     return ("optimal", best) if best is not None else ("infeasible", None)
+
+
+def stalled_linprog(*args, **kwargs):
+    """Stand-in for ``scipy.optimize.linprog`` that stops without an
+    answer, as HiGHS does when it hits an iteration limit."""
+    return OptimizeResult(status=1, message="stalled", x=None, fun=None, success=False)
 
 
 def random_stochastic(rng, n, m) -> np.ndarray:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from helpers import stalled_linprog
 
 from infocontracts import (
     Belief,
@@ -142,13 +143,15 @@ def test_contract_command_not_implementable_exits_3(runner, tmp_path):
 
 
 def test_flags_that_would_do_nothing_are_rejected(runner, tmp_path):
-    # contract has no residual verdict and implementable solves no LP.
+    # contract has no residual verdict and its LP tolerance is fixed;
+    # implementable solves no LP.
     inputs = [
         "--experiment", write(tmp_path, "e.json", BINARY),
         "--target", write(tmp_path, "t.json", BINARY_TARGET),
         "--cost", write(tmp_path, "c.json", ENTROPY2),
     ]
-    for args in (["contract", "--tol-residual", "1e-3"], ["implementable", "--tol-lp", "1e-3"]):
+    for args in (["contract", "--tol-residual", "1e-3"], ["contract", "--tol-lp", "1e-3"],
+                 ["implementable", "--tol-lp", "1e-3"]):
         result = runner.invoke(main, args + inputs)
         assert result.exit_code == 2, result.output
         assert "No such option" in result.output
@@ -278,16 +281,13 @@ def test_contract_json_round_trips_through_oracle_command(runner, tmp_path):
 
 
 def test_solver_failures_exit_4_without_a_traceback(runner, tmp_path, monkeypatch):
-    from infocontracts import LpSolution, LpStatus, contracts, numerics
-
-    def stalled(*args, **kwargs):
-        return LpSolution(LpStatus.FAILED, None, None, message="stalled")
+    from infocontracts import numerics
 
     def nnls_stalled(*args, **kwargs):
         raise RuntimeError("stalled")
 
     monkeypatch.setattr(numerics, "nnls", nnls_stalled)
-    monkeypatch.setattr(contracts, "solve_lp", stalled)
+    monkeypatch.setattr(numerics, "linprog", stalled_linprog)
     side_bets = {"kernel": [[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]]}
     runs = [
         ["compare", "--order", "cone",
@@ -305,26 +305,24 @@ def test_solver_failures_exit_4_without_a_traceback(runner, tmp_path, monkeypatc
 
 
 def test_contract_verify_with_a_too_coarse_grid_exits_2(runner, tmp_path):
-    args = [
-        "contract", "--verify", "--grid", "50",
+    inputs = [
         "--experiment", write(tmp_path, "e.json", BINARY),
         "--target", write(tmp_path, "t.json", BINARY_TARGET),
         "--cost", write(tmp_path, "c.json", ENTROPY2),
     ]
-    result = runner.invoke(main, args)
-    assert result.exit_code == 2, result.output
-    assert "grid resolution" in result.output
-    assert not isinstance(result.exception, InputError)
+    # The grid is validated whether or not --verify asks for the oracle.
+    for args in (["contract", "--verify", "--grid", "50"], ["contract", "--grid", "5"]):
+        result = runner.invoke(main, args + inputs)
+        assert result.exit_code == 2, result.output
+        assert "grid resolution" in result.output
+        assert not isinstance(result.exception, InputError)
 
 
 def test_oracle_solver_failures_exit_4(runner, tmp_path, monkeypatch):
-    from infocontracts import LpSolution, LpStatus, oracle
-
-    def stalled(*args, **kwargs):
-        return LpSolution(LpStatus.FAILED, None, None, message="stalled")
+    from infocontracts import numerics
 
     # Only the oracle's LP stalls: the binary contract is closed-form.
-    monkeypatch.setattr(oracle, "solve_lp", stalled)
+    monkeypatch.setattr(numerics, "linprog", stalled_linprog)
     experiment = write(tmp_path, "e.json", BINARY)
     cost = write(tmp_path, "c.json", QUADRATIC2)
     contract = {"payments": [[2.0, 0.0], [0.0, 2.0]], "limited_liability": True}

@@ -12,6 +12,7 @@ from helpers import (
     random_interior_prior,
     random_stochastic,
     shannon_entropy,
+    stalled_linprog,
     tilted_implementable_target,
 )
 
@@ -19,8 +20,6 @@ from infocontracts import (
     Belief,
     Contract,
     DegenerateExperimentError,
-    LpSolution,
-    LpStatus,
     SolverFailureError,
     DimensionMismatchError,
     Experiment,
@@ -374,27 +373,52 @@ def test_kappa_matches_direct_lp_with_several_free_multipliers():
         assert _assert_kappa_is_direct_optimum(e, target, cost).mode == "corner"
 
 
+def _payment_lp_with_dust(monkeypatch, dust) -> list:
+    """Make HiGHS answer the payment LP with ``dust`` in place of its first
+    zero payment; the returned list receives that entry's index."""
+    from infocontracts import numerics
+
+    real, entries = numerics.linprog, []
+
+    def dusty(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.x = res.x.copy()
+        entries.append(int(np.flatnonzero(res.x == 0.0)[0]))
+        res.x[entries[-1]] = dust
+        return res
+
+    monkeypatch.setattr(numerics, "linprog", dusty)
+    return entries
+
+
+def test_solver_dust_on_a_payment_is_cleared_to_zero(monkeypatch):
+    # -1.038e-10 is the dust HiGHS once returned on a 4x6 entropy instance.
+    # It lies inside the LP's re-check tolerance, so the payment is exactly
+    # zero and kappa is the direct optimum.
+    rng = np.random.default_rng(31)
+    e, target, cost = equal_rows_instance(rng)
+    entries = _payment_lp_with_dust(monkeypatch, -1.038e-10)
+    report = optimal_contract(e, target, cost)
+    (m, k), (entry,) = report.contract.payments.shape, entries
+    assert entry < m * k
+    assert report.contract.payments[entry % m, entry // m] == 0.0
+    assert report.contract.payments.min() == 0.0
+    optimum = direct_min_payment(e.kernel, target, marginal_cost_matrix(cost, target).matrix)
+    assert report.kappa == pytest.approx(optimum, abs=1e-8)
+
+
 def test_roundoff_negative_payment_is_a_solver_failure(monkeypatch):
-    # A payment a hair below the clamp window is solver roundoff, not a
-    # malformed contract: it must surface as a solver failure.
-    from infocontracts import contracts
+    # A payment past the LP's re-check tolerance is a solver failure, not a
+    # malformed contract, and so is an LP that HiGHS stops without an answer.
+    from infocontracts import numerics
 
     rng = np.random.default_rng(31)
     e, target, cost = equal_rows_instance(rng)
-    real = contracts.solve_lp
-
-    def dusty(problem, *args, **kwargs):
-        sol = real(problem, *args, **kwargs)
-        x = sol.x.copy()
-        x[0] = -1.04e-10
-        return LpSolution(LpStatus.OPTIMAL, x, sol.objective)
-
-    monkeypatch.setattr(contracts, "solve_lp", dusty)
-    with pytest.raises(SolverFailureError, match="negative payment"):
+    _payment_lp_with_dust(monkeypatch, -1e-6)
+    with pytest.raises(SolverFailureError, match="did not resolve: solution failed verification"):
         optimal_contract(e, target, cost)
-    monkeypatch.setattr(contracts, "solve_lp",
-                        lambda *a, **k: LpSolution(LpStatus.FAILED, None, None, message="stalled"))
-    with pytest.raises(SolverFailureError, match="stalled"):
+    monkeypatch.setattr(numerics, "linprog", stalled_linprog)
+    with pytest.raises(SolverFailureError, match="did not resolve: stalled"):
         optimal_contract(e, target, cost)
 
 

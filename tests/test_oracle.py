@@ -8,6 +8,7 @@ from helpers import (
     random_interior_prior,
     random_stochastic,
     shannon_entropy,
+    stalled_linprog,
     tilted_implementable_target,
 )
 
@@ -17,8 +18,6 @@ from infocontracts import (
     Experiment,
     GridSpec,
     InputError,
-    LpSolution,
-    LpStatus,
     NotImplementableError,
     SolverFailureError,
     agent_best_response,
@@ -380,13 +379,11 @@ def test_three_state_solve_at_401_points_per_axis_stays_small():
 
 
 def test_failed_restricted_lp_is_a_solver_failure(binary_instance, monkeypatch):
+    from infocontracts import numerics
+
     prior, cost, _ = binary_instance
-
-    def stalled(*args, **kwargs):
-        return LpSolution(LpStatus.FAILED, None, None, message="stalled")
-
-    monkeypatch.setattr(oracle, "solve_lp", stalled)
-    with pytest.raises(SolverFailureError, match="stalled"):
+    monkeypatch.setattr(numerics, "linprog", stalled_linprog)
+    with pytest.raises(SolverFailureError, match="best-response LP did not resolve: stalled"):
         agent_best_response(BINARY, Contract(np.eye(2)), grid_priced(cost), prior)
 
 
