@@ -66,8 +66,9 @@ def brute_force_lp(c, a_eq, b_eq, tol=1e-9):
 
 
 def stalled_linprog(*args, **kwargs):
-    """Stand-in for ``scipy.optimize.linprog`` that stops without an
-    answer, as HiGHS does when it hits an iteration limit."""
+    """Stand-in for ``numerics.linprog``, the library's direct HiGHS call,
+    that stops without an answer, as HiGHS does when it hits an iteration
+    limit."""
     return OptimizeResult(status=1, message="stalled", x=None, fun=None, success=False)
 
 

@@ -373,6 +373,28 @@ def test_kappa_matches_direct_lp_with_several_free_multipliers():
         assert _assert_kappa_is_direct_optimum(e, target, cost).mode == "corner"
 
 
+def test_closed_form_kappa_matches_direct_lp_on_full_rank_square_kernels(monkeypatch):
+    # A full-rank square kernel has no side bets, so an interior target is
+    # priced by the row-minimum shift without any LP (a stalled HiGHS would
+    # raise).  The direct LP, with the state multiplier free, must agree.
+    from infocontracts import numerics
+
+    monkeypatch.setattr(numerics, "linprog", stalled_linprog)
+    rng = np.random.default_rng(53)
+    for n in (3, 4):
+        for _ in range(30):
+            kernel = random_stochastic(rng, n, n)
+            while np.linalg.svd(kernel, compute_uv=False)[-1] < 0.05:
+                kernel = random_stochastic(rng, n, n)
+            prior = random_interior_prior(rng, n)
+            signal = Experiment(random_stochastic(rng, n, int(rng.integers(2, 5))))
+            target, cost = posteriors(signal, prior), entropy_cost(prior)
+            report = optimal_contract(Experiment(kernel), target, cost)
+            optimum = direct_min_payment(kernel, target, marginal_cost_matrix(cost, target).matrix)
+            assert report.kappa == pytest.approx(optimum, rel=0, abs=1e-8)
+            assert report.payment_check == pytest.approx(optimum, rel=0, abs=1e-8)
+
+
 def _payment_lp_with_dust(monkeypatch, dust) -> list:
     """Make HiGHS answer the payment LP with ``dust`` in place of its first
     zero payment; the returned list receives that entry's index."""

@@ -1,15 +1,20 @@
+import logging
+
 import numpy as np
 import pytest
+import scipy.optimize
 from helpers import brute_force_lp, exact_rank
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from infocontracts import (
+    DimensionMismatchError,
     InputError,
     SolverFailureError,
     column_space_residual,
     matrix_rank,
+    numerics,
     pseudo_inverse,
     solve_lp,
 )
@@ -141,6 +146,20 @@ def test_lp_infeasible():
 def test_lp_unbounded():
     with pytest.raises(SolverFailureError, match="unbounded"):
         solve_lp(np.array([-1.0, 0.0]), np.array([[1.0, -1.0]]), np.array([0.0]))
+    rng = np.random.default_rng(43)
+    for _ in range(10):
+        with pytest.raises(SolverFailureError, match="unbounded"):
+            solve_lp(*_unbounded_standard_form(rng))
+
+
+def test_lp_rejects_mismatched_dimensions():
+    # HiGHS takes its sizes from the matrix and does not refuse a vector of
+    # another length (a 3-entry cost on a 2-column matrix solves as
+    # "optimal"), so solve_lp must refuse it first.
+    a = np.array([[1.0, -1.0]])
+    for c, b in ((np.ones(3), np.ones(1)), (np.ones(1), np.ones(1)), (np.ones(2), np.ones(2))):
+        with pytest.raises(DimensionMismatchError):
+            solve_lp(c, a, b)
 
 
 def _bounded_standard_form(rng, feasible=True):
@@ -155,6 +174,27 @@ def _bounded_standard_form(rng, feasible=True):
     else:
         b = np.append(1.0, 3.0 * rng.normal(size=a.shape[0] - 1))
     return rng.normal(size=n), a, b
+
+
+def _unbounded_standard_form(rng):
+    """Feasible LP with a recession direction ``1`` (``a @ 1 = 0``) along
+    which the objective falls without end."""
+    n = int(rng.integers(3, 7))
+    a = rng.normal(size=(int(rng.integers(1, 3)), n))
+    a[:, -1] = -a[:, :-1].sum(axis=1)
+    c = rng.normal(size=n)
+    c[-1] -= c.sum() + 1.0
+    return c, a, a @ rng.dirichlet(np.ones(n))
+
+
+def _oracle_shaped(rng):
+    """The grid oracle's restricted LP: mixture weights over belief points
+    (the simplex's vertices and random interior points) averaging to the
+    prior, maximizing a random net value."""
+    points = np.vstack([np.eye(3), rng.dirichlet(np.ones(3), size=37)])
+    prior = rng.dirichlet(np.ones(3) * 3.0)
+    values = rng.normal(size=40) - (points ** 2).sum(axis=1)
+    return -values, np.column_stack([points, np.ones(40)]).T, np.append(prior, 1.0)
 
 
 def test_lp_agrees_with_vertex_enumeration():
@@ -182,16 +222,71 @@ def test_lp_duals_certify_the_optimum():
     # rule trusts exactly this of its restricted LPs.
     rng = np.random.default_rng(21)
     problems = [_bounded_standard_form(rng) for _ in range(100)]
-    for _ in range(20):
-        points = np.vstack([np.eye(3), rng.dirichlet(np.ones(3), size=37)])
-        prior = rng.dirichlet(np.ones(3) * 3.0)
-        values = rng.normal(size=40) - (points ** 2).sum(axis=1)
-        problems.append((-values, np.column_stack([points, np.ones(40)]).T, np.append(prior, 1.0)))
+    problems += [_oracle_shaped(rng) for _ in range(20)]
     for c, a, b in problems:
         x, y = solve_lp(c, a, b)
         assert y.shape == b.shape
         assert np.min(c - a.T @ y) >= -1e-9
         assert abs(c @ x - b @ y) <= 1e-9 * max(1.0, abs(c @ x))
+
+
+def test_direct_highs_call_matches_scipy_linprog():
+    # numerics.linprog poses the LP to HiGHS itself; scipy's public linprog
+    # is the independent reference.  Same options, so the same pivots: the
+    # answers agree to the last bit, and failures stay failures.
+    rng = np.random.default_rng(41)
+    feasible = [_bounded_standard_form(rng) for _ in range(60)] + [
+        _oracle_shaped(rng) for _ in range(20)]
+    failing = [_bounded_standard_form(rng, feasible=False) for _ in range(40)] + [
+        _unbounded_standard_form(rng) for _ in range(20)]
+    compared = failed = 0
+    for c, a, b in feasible + failing:
+        ours = numerics.linprog(c, A_eq=a, b_eq=b)
+        reference = scipy.optimize.linprog(c, A_eq=a, b_eq=b, bounds=(0, None), method="highs")
+        assert (ours.status == 0) == (reference.status == 0), (ours.message, reference.message)
+        if reference.status != 0:
+            failed += 1
+            continue
+        np.testing.assert_array_equal(ours.x, reference.x)
+        np.testing.assert_array_equal(ours.eqlin.marginals, reference.eqlin.marginals)
+        assert ours.fun == reference.fun and ours.nit == reference.nit
+        compared += 1
+    assert compared >= 80 and failed >= 30
+
+
+def test_perturbed_duals_fail_the_dual_certificate(monkeypatch):
+    # The primal answer is intact, so only the dual check can catch a wrong
+    # y.  Moving y along e_1 - prior_1 e_last keeps b'y but drives the
+    # reduced cost of a support point negative; moving it along -e_last
+    # keeps every reduced cost nonnegative but opens the duality gap.
+    c, a, b = _oracle_shaped(np.random.default_rng(47))
+    real = numerics.linprog
+    along_e1 = np.zeros(b.size)
+    along_e1[0], along_e1[-1] = 1.0, -b[0]
+    for shift, numbers in ((1e-3 * along_e1, r"reduced cost=-\S+, gap="),
+                           (-1e-3 * np.eye(b.size)[-1], r"reduced cost=\d\S+, gap=1\.000e-03")):
+        def perturbed(*args, shift=shift, **kwargs):
+            res = real(*args, **kwargs)
+            res.eqlin.marginals = res.eqlin.marginals + shift
+            return res
+
+        monkeypatch.setattr(numerics, "linprog", perturbed)
+        with pytest.raises(SolverFailureError, match=r"failed dual verification \(" + numbers):
+            solve_lp(c, a, b)
+
+
+def test_each_lp_logs_one_debug_line(caplog):
+    c, a, b = np.array([1.0, 0.0]), np.array([[1.0, -1.0]]), np.array([3.0])
+    with caplog.at_level(logging.INFO, logger="infocontracts.numerics"):
+        solve_lp(c, a, b)
+    assert caplog.records == []
+    with caplog.at_level(logging.DEBUG, logger="infocontracts.numerics"):
+        solve_lp(c, a, b)
+        with pytest.raises(SolverFailureError):
+            solve_lp(np.zeros(1), np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]))
+    solved, failed = (r.getMessage() for r in caplog.records)
+    assert solved.startswith("LP 1x2: optimal after ") and "duality gap 0.000e+00" in solved
+    assert failed.startswith("LP 2x1: infeasible after ")
 
 
 def test_one_svd_yields_projector_and_null_basis():
