@@ -23,7 +23,6 @@ from .contracts import (
     synthesize_family,
 )
 from .costs import (
-    MarginalCostMatrix,
     PosteriorCost,
     cost_from_dict,
     custom_cost,
@@ -54,7 +53,6 @@ from .experiments import (
 from .implementability import (
     ImplementabilityReport,
     check_implementable,
-    check_implementable_corner,
     check_no_dominance,
     check_unique_implementable,
     compare_implementable_sets,

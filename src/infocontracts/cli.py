@@ -5,9 +5,8 @@ Every command is a thin wrapper over the library: inputs are JSON files (or
 codes: 0 on success, 2 on malformed input, 3 when a negative verdict must
 fail the pipeline (``implementable --strict``, or ``contract`` on a target
 that cannot be implemented), 4 when a solver (HiGHS, or the nonnegative
-least-squares iteration) gives no trustworthy answer.  Every option can
-also be supplied through an ``INFOCONTRACTS_``-prefixed environment
-variable.
+least-squares iteration) gives no trustworthy answer.  Options come from
+the command line only: no environment variable changes a command.
 """
 
 from __future__ import annotations
@@ -34,9 +33,6 @@ from .experiments import Belief, Experiment, PosteriorDistribution, blackwell_co
 from .implementability import check_implementable
 from .oracle import GridSpec, agent_best_response
 from .orders import binary_k_compare, colspace_compare, cone_compare
-
-CONTEXT_SETTINGS = {"auto_envvar_prefix": "INFOCONTRACTS"}
-
 
 class CliInputError(click.ClickException):
     exit_code = 2
@@ -131,13 +127,9 @@ _format_option = click.option(
 )
 _output_option = click.option("--output", type=click.Path(writable=True, dir_okay=False),
                               default=None, help="Write the report to a file instead of stdout.")
-_tol_rank = click.option("--tol-rank", type=float, default=None,
-                         help="Relative singular-value cutoff for rank decisions.")
-_tol_residual = click.option("--tol-residual", type=float, default=1e-9, show_default=True,
-                             help="Relative tolerance for column-space residual verdicts.")
 
 
-@click.group(context_settings=CONTEXT_SETTINGS)
+@click.group()
 @click.version_option(version=__version__, prog_name="infocontracts")
 def main():
     """Decide which learning targets a noisy contractible experiment can
@@ -151,19 +143,15 @@ def main():
               help="Target JSON: {posteriors, weights} or an experiment to convert at the prior.")
 @click.option("--cost", "cost_path", required=True, help="Cost JSON: {kind, prior, ...}.")
 @click.option("--strict", is_flag=True, help="Exit 3 when the verdict is negative.")
-@_tol_residual
-@_tol_rank
 @_format_option
 @_output_option
-def cmd_implementable(experiment_path, target_path, cost_path, strict, tol_residual,
-                      tol_rank, fmt, output):
+def cmd_implementable(experiment_path, target_path, cost_path, strict, fmt, output):
     """Decide whether the target can be incentivized, with certificates."""
     e_p = _load_experiment(experiment_path)
     cost = _load_cost(cost_path)
     target = _load_target(target_path, cost.prior)
     with _library_errors():
-        report = check_implementable(e_p, target, cost, residual_tol=tol_residual,
-                                     rank_tol=tol_rank)
+        report = check_implementable(e_p, target, cost)
 
     def as_table(payload):
         lines = [f"implementable: {payload['implementable']}", f"mode: {payload['mode']}"]
@@ -187,11 +175,9 @@ def cmd_implementable(experiment_path, target_path, cost_path, strict, tol_resid
 @click.option("--verify", is_flag=True, help="Run the independent agent solver and embed the gap.")
 @click.option("--grid", type=int, default=None,
               help="Grid points per axis for --verify (grid route; unused under an entropy cost).")
-@_tol_rank
 @_format_option
 @_output_option
-def cmd_contract(experiment_path, target_path, cost_path, no_ll, verify, grid,
-                 tol_rank, fmt, output):
+def cmd_contract(experiment_path, target_path, cost_path, no_ll, verify, grid, fmt, output):
     """Synthesize the cost-minimizing (or zero-rent benchmark) contract."""
     e_p = _load_experiment(experiment_path)
     cost = _load_cost(cost_path)
@@ -202,7 +188,7 @@ def cmd_contract(experiment_path, target_path, cost_path, no_ll, verify, grid,
         grid_spec = GridSpec(resolution=grid)
         try:
             if no_ll:
-                family = synthesize_family(e_p, target, cost, rank_tol=tol_rank)
+                family = synthesize_family(e_p, target, cost)
                 contract = _zero_rent(family, target, cost.prior)
                 payload = {
                     "contract": contract.to_dict(),
@@ -211,7 +197,7 @@ def cmd_contract(experiment_path, target_path, cost_path, no_ll, verify, grid,
                     "limited_liability": False,
                 }
             else:
-                report = optimal_contract(e_p, target, cost, rank_tol=tol_rank)
+                report = optimal_contract(e_p, target, cost)
                 contract = report.contract
                 payload = report.to_dict()
                 failed = not report.implementable

@@ -115,14 +115,6 @@ class ContractFamily:
     null_basis: np.ndarray     # M x d orthonormal basis of ker(kernel)
     report: ImplementabilityReport
 
-    @property
-    def n_free_bonus(self) -> int:
-        return self.base.shape[0]
-
-    @property
-    def n_free_side_bets(self) -> int:
-        return self.null_basis.shape[1] * self.base.shape[1]
-
     def member(self, z=None, w=None, limited_liability=False) -> Contract:
         """Family member for a bonus vector ``z`` and side-bet matrix ``w``.
 
@@ -161,9 +153,9 @@ class ContractFamily:
 
 
 def synthesize_family(e_p: Experiment, target: PosteriorDistribution,
-                      cost: PosteriorCost, rank_tol: float | None = None) -> ContractFamily:
+                      cost: PosteriorCost) -> ContractFamily:
     """Build the (Z, W)-parametrized family of implementing contracts."""
-    return _family(e_p, check_implementable(e_p, target, cost, rank_tol=rank_tol))
+    return _family(e_p, check_implementable(e_p, target, cost))
 
 
 def _family(e_p: Experiment, report: ImplementabilityReport) -> ContractFamily:
@@ -223,7 +215,7 @@ class CostReport:
 
 
 def optimal_contract(e_p: Experiment, target: PosteriorDistribution,
-                     cost: PosteriorCost, rank_tol: float | None = None) -> CostReport:
+                     cost: PosteriorCost) -> CostReport:
     """Cheapest limited-liability contract implementing ``target``.
 
     When the target has a single posterior, or it is interior and the
@@ -241,7 +233,7 @@ def optimal_contract(e_p: Experiment, target: PosteriorDistribution,
     ``payment_check``).  A payment LP that HiGHS does not solve, or whose
     solution fails re-verification, raises :class:`SolverFailureError`.
     """
-    report = check_implementable(e_p, target, cost, rank_tol=rank_tol)
+    report = check_implementable(e_p, target, cost)
     first_best = report.first_best
     if not report.implementable:
         return CostReport(
@@ -249,7 +241,8 @@ def optimal_contract(e_p: Experiment, target: PosteriorDistribution,
             contract=None, mode=report.mode, reason=report.reason,
         )
     family = _family(e_p, report)
-    free = (target.posterior_matrix() < INTERIOR_THRESHOLD) & (report.mode == "corner")
+    # Boundary multipliers are free on the cells the posteriors rule out.
+    free = target.posterior_matrix() < INTERIOR_THRESHOLD
     # A single report needs no incentive: the shift pays nothing.
     if target.size == 1 or (family.null_basis.shape[1] == 0 and not free.any()):
         payments, nabla = family.base - rowmin(family.base)[:, None], family.nabla
@@ -314,9 +307,9 @@ def _zero_rent(family: ContractFamily, target: PosteriorDistribution, prior: Bel
 
 
 def first_best_contract(e_p: Experiment, target: PosteriorDistribution,
-                        cost: PosteriorCost, rank_tol: float | None = None) -> Contract:
+                        cost: PosteriorCost) -> Contract:
     """Zero-rent benchmark contract when payments may be negative."""
-    return _zero_rent(synthesize_family(e_p, target, cost, rank_tol), target, cost.prior)
+    return _zero_rent(synthesize_family(e_p, target, cost), target, cost.prior)
 
 
 def expected_payment(e_p: Experiment, target: PosteriorDistribution,

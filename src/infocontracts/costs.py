@@ -205,28 +205,9 @@ def _validate_cost(cost: PosteriorCost, samples: int = 64, rng=None) -> None:
             raise InputError("cost fails convexity on a sampled segment")
 
 
-@dataclass(frozen=True, eq=False)
-class MarginalCostMatrix:
-    """N x K matrix whose k-th column is the gradient at the k-th posterior."""
-
-    matrix: np.ndarray
-    distribution: PosteriorDistribution
-
-    @property
-    def n_states(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def n_posteriors(self) -> int:
-        return self.matrix.shape[1]
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self.distribution.weights
-
-
-def marginal_cost_matrix(cost: PosteriorCost, d: PosteriorDistribution) -> MarginalCostMatrix:
-    """Stack the normalized gradients at every support posterior.
+def marginal_cost_matrix(cost: PosteriorCost, d: PosteriorDistribution) -> np.ndarray:
+    """The read-only N x K matrix whose k-th column is the normalized
+    gradient at the k-th support posterior.
 
     Boundary posteriors are rejected outright when the cost's slope blows up
     at the boundary: no finite marginal-cost column exists there and such
@@ -244,7 +225,7 @@ def marginal_cost_matrix(cost: PosteriorCost, d: PosteriorDistribution) -> Margi
         columns.append(cost.gradient_at(belief))
     matrix = np.column_stack(columns)
     matrix.setflags(write=False)
-    return MarginalCostMatrix(matrix=matrix, distribution=d)
+    return matrix
 
 
 def total_cost(cost: PosteriorCost, d: PosteriorDistribution) -> float:

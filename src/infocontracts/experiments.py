@@ -26,6 +26,8 @@ INTERIOR_THRESHOLD = 1e-9
 BAYES_TOL = 1e-9
 # Unconditional realization probabilities at or below this are dropped.
 DROP_TOL = 1e-15
+# Kernel entries this close count as equal in the uniform-random-noise test.
+NOISE_TOL = 1e-12
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -56,8 +58,8 @@ class Belief:
     def n_states(self) -> int:
         return self.probs.size
 
-    def is_interior(self, threshold: float = INTERIOR_THRESHOLD) -> bool:
-        return bool(np.all(self.probs >= threshold))
+    def is_interior(self) -> bool:
+        return bool(np.all(self.probs >= INTERIOR_THRESHOLD))
 
     def to_dict(self) -> dict:
         return {"probs": self.probs.tolist()}
@@ -199,11 +201,11 @@ def posteriors(e: Experiment, prior: Belief) -> PosteriorDistribution:
     return PosteriorDistribution(beliefs, unconditional[keep] / unconditional[keep].sum(), dropped)
 
 
-def is_bayes_plausible(d: PosteriorDistribution, prior: Belief, tol: float = BAYES_TOL) -> bool:
+def is_bayes_plausible(d: PosteriorDistribution, prior: Belief) -> bool:
     """True iff the weighted average of the posteriors equals the prior."""
     if prior.n_states != d.n_states:
         raise DimensionMismatchError("prior does not match the distribution's state space")
-    return bool(np.max(np.abs(d.mean() - prior.probs)) <= tol)
+    return bool(np.max(np.abs(d.mean() - prior.probs)) <= BAYES_TOL)
 
 
 def experiment_from_posteriors(d: PosteriorDistribution, prior: Belief,
@@ -224,11 +226,11 @@ def experiment_from_posteriors(d: PosteriorDistribution, prior: Belief,
     return Experiment(kernel, realizations=realizations)
 
 
-def has_full_row_rank(e: Experiment, rank_tol: float | None = None) -> bool:
-    return matrix_rank(e.kernel, rank_tol) == e.n_states
+def has_full_row_rank(e: Experiment) -> bool:
+    return matrix_rank(e.kernel) == e.n_states
 
 
-def has_uniform_random_noise(e: Experiment, tol: float = 1e-12) -> bool:
+def has_uniform_random_noise(e: Experiment) -> bool:
     """True iff each state has a unique most-likely realization, those
     realizations are distinct across states, and within each row all
     non-maximal probabilities are equal."""
@@ -236,11 +238,11 @@ def has_uniform_random_noise(e: Experiment, tol: float = 1e-12) -> bool:
     argmaxes = []
     for row in kernel:
         top = row.max()
-        top_idx = np.flatnonzero(row >= top - tol)
+        top_idx = np.flatnonzero(row >= top - NOISE_TOL)
         if top_idx.size != 1:
             return False
         rest = np.delete(row, top_idx[0])
-        if rest.size and np.max(rest) - np.min(rest) > tol:
+        if rest.size and np.max(rest) - np.min(rest) > NOISE_TOL:
             return False
         argmaxes.append(int(top_idx[0]))
     return len(set(argmaxes)) == len(argmaxes)

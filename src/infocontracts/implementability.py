@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .costs import MarginalCostMatrix, PosteriorCost, marginal_cost_matrix, total_cost
+from .costs import PosteriorCost, marginal_cost_matrix, total_cost
 from .errors import BoundaryMarginalCostError, DimensionMismatchError, InputError
 from .experiments import INTERIOR_THRESHOLD, Experiment, PosteriorDistribution, is_bayes_plausible
 from .numerics import (
@@ -38,6 +38,9 @@ from .orders import OrderVerdict, colspace_compare
 # Absolute floor so that vanishing column differences never trip the
 # relative residual test on rounding dust.
 _RESIDUAL_FLOOR = 1e-14
+# Marginal-cost columns this close (absolute, entrywise) count as one
+# column in the no-dominance test.
+IDENTICAL_COLUMN_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,10 +87,10 @@ class ImplementabilityReport:
         }
 
 
-def _no(reason: str, first_best: float, mode: str, tol: float) -> ImplementabilityReport:
+def _no(reason: str, first_best: float) -> ImplementabilityReport:
     return ImplementabilityReport(
-        implementable=False, first_best=first_best, mode=mode, residuals=np.array([]),
-        diff_norms=np.array([]), lambda_certificate=None, eta=None, tolerance=tol,
+        implementable=False, first_best=first_best, mode="interior", residuals=np.array([]),
+        diff_norms=np.array([]), lambda_certificate=None, eta=None, tolerance=RESIDUAL_TOL,
         full_row_rank=False, reason=reason,
     )
 
@@ -116,68 +119,47 @@ def _lambda_from(nabla: np.ndarray, projector: np.ndarray) -> np.ndarray:
 
 
 def check_implementable(e_p: Experiment, target: PosteriorDistribution,
-                        cost: PosteriorCost, residual_tol: float = RESIDUAL_TOL,
-                        rank_tol: float | None = None) -> ImplementabilityReport:
+                        cost: PosteriorCost) -> ImplementabilityReport:
     """Decide implementability of ``target`` under ``e_p`` for ``cost``.
 
-    Interior targets use the column-space test on marginal-cost differences
-    (with a full-row-rank fast path); targets with boundary posteriors get
-    the corner test of :func:`check_implementable_corner` when the cost's
-    slope stays bounded, and are rejected outright when it does not (a
-    posterior that rules out a state can then never be optimal).
+    The one implementability routine.  A target with a boundary posterior
+    is rejected outright when the cost's slope is unbounded at the boundary
+    (a posterior that rules out a state can then never be optimal), and is
+    otherwise decided in corner mode.  A full-row-rank kernel implements
+    every finite-cost target.  Otherwise boundary multipliers
+    ``eta >= 0``, supported only on the states each posterior rules out,
+    are fitted to minimize the projection residuals in least squares (none
+    exist on an interior target), and each column difference of
+    ``nabla - eta`` must lie in Col(kernel) up to ``RESIDUAL_TOL``.  The
+    fitted ``eta`` is returned as the certificate.
     """
-    return _decide(e_p, target, cost, residual_tol, rank_tol, corner=False)
-
-
-def check_implementable_corner(e_p: Experiment, target: PosteriorDistribution,
-                               cost: PosteriorCost, residual_tol: float = RESIDUAL_TOL,
-                               rank_tol: float | None = None) -> ImplementabilityReport:
-    """Implementability allowing boundary posteriors (bounded-slope costs).
-
-    Looks for multipliers ``eta >= 0``, supported only on the states each
-    posterior rules out, such that the columns of ``nabla - eta`` pass the
-    pairwise column-space test.  The multipliers minimize the projection
-    residuals in least squares (``eta >= 0``), and the fitted ``eta`` is
-    returned as the certificate.  On interior targets every multiplier is
-    pinned to zero and the verdict coincides with
-    :func:`check_implementable`.
-    """
-    return _decide(e_p, target, cost, residual_tol, rank_tol, corner=True)
-
-
-def _decide(e_p, target, cost, residual_tol, rank_tol, corner: bool) -> ImplementabilityReport:
-    """The one implementability routine: the full-row-rank fast path, or
-    else a fit of the free boundary multipliers (if any) followed by the
-    per-column projection-residual test."""
     _check_spaces(e_p, target, cost)
     first_best = total_cost(cost, target)
     if math.isinf(first_best):
-        return _no("target has infinite information cost", first_best,
-                   "corner" if corner else "interior", residual_tol)
-    posterior_matrix = target.posterior_matrix()
-    if not corner and np.any(posterior_matrix < INTERIOR_THRESHOLD):
-        if cost.infinite_boundary_slope:
-            return _no(
-                "target includes a boundary posterior but the cost's slope is "
-                "unbounded at the boundary, so such learning is never optimal",
-                first_best, "interior", residual_tol,
-            )
-        corner = True
+        return _no("target has infinite information cost", first_best)
+    boundary = target.posterior_matrix() < INTERIOR_THRESHOLD
+    corner = bool(boundary.any())
+    if corner and cost.infinite_boundary_slope:
+        return _no(
+            "target includes a boundary posterior but the cost's slope is "
+            "unbounded at the boundary, so such learning is never optimal",
+            first_best,
+        )
     mode = "corner" if corner else "interior"
 
-    nabla = marginal_cost_matrix(cost, target).matrix   # raises if slope unbounded at boundary
+    nabla = marginal_cost_matrix(cost, target)
     if corner and not np.all(np.isfinite(nabla)):
         raise BoundaryMarginalCostError(
             "marginal-cost matrix has non-finite entries; the boundary test "
             "needs finite gradients at every target posterior"
         )
     n, k = nabla.shape
-    fact = pseudo_inverse(e_p.kernel, rank_tol)
+    fact = pseudo_inverse(e_p.kernel)
     if fact.rank == n:
         return ImplementabilityReport(
             implementable=True, first_best=first_best, mode=mode, residuals=np.array([]),
             diff_norms=np.array([]), lambda_certificate=np.zeros(n),
-            eta=np.zeros((n, k)) if corner else None, tolerance=residual_tol,
+            eta=np.zeros((n, k)) if corner else None, tolerance=RESIDUAL_TOL,
             full_row_rank=True, factorization=fact, marginal_costs=nabla,
             reason="full row rank: any finite-cost target is implementable",
         )
@@ -186,10 +168,10 @@ def _decide(e_p, target, cost, residual_tol, rank_tol, corner: bool) -> Implemen
     diffs = nabla @ d
     norms = np.linalg.norm(diffs, axis=0)
     projector = fact.projector
-    # In corner mode eta may be positive where a posterior rules its state out.
-    free = (posterior_matrix < INTERIOR_THRESHOLD).flatten(order="F") & corner
+    # eta may be positive only where a posterior rules its state out.
+    free = boundary.flatten(order="F")
     eta = np.zeros(n * k)
-    if free.any():
+    if corner:
         # vec(C @ (diffs - eta @ D)) = vec(C @ diffs) - kron(D', C) vec(eta),
         # with C = I - P the projector off Col(kernel).
         complement = np.eye(n) - projector
@@ -199,52 +181,52 @@ def _decide(e_p, target, cost, residual_tol, rank_tol, corner: bool) -> Implemen
     adjusted = nabla - eta
     adj_diffs = adjusted @ d
     residuals = np.linalg.norm(adj_diffs - projector @ adj_diffs, axis=0)
-    ok = bool(np.all(residuals <= residual_tol * norms + _RESIDUAL_FLOOR))
+    ok = bool(np.all(residuals <= RESIDUAL_TOL * norms + _RESIDUAL_FLOOR))
     reason = ("" if ok else
               "no boundary multipliers can pull the marginal-cost differences "
-              "into the kernel's column space" if free.any() else
+              "into the kernel's column space" if corner else
               "a marginal-cost difference leaves the kernel's column space")
     return ImplementabilityReport(
         implementable=ok, first_best=first_best, mode=mode, residuals=residuals,
         diff_norms=norms, lambda_certificate=_lambda_from(adjusted, projector) if ok else None,
-        eta=eta if ok and corner else None, tolerance=residual_tol,
+        eta=eta if ok and corner else None, tolerance=RESIDUAL_TOL,
         full_row_rank=False, reason=reason, factorization=fact, marginal_costs=nabla,
     )
 
 
 def check_unique_implementable(e_p: Experiment, target: PosteriorDistribution,
-                               cost: PosteriorCost, residual_tol: float = RESIDUAL_TOL,
-                               rank_tol: float | None = None) -> bool:
+                               cost: PosteriorCost) -> bool:
     """True iff exactly one optimal learning choice can be induced.
 
     Requires implementability, strict convexity of the posterior price, and
     linearly independent target posteriors (so only one weighting of them
     averages back to the prior).
     """
-    report = check_implementable(e_p, target, cost, residual_tol, rank_tol)
+    report = check_implementable(e_p, target, cost)
     if not report.implementable:
         return False
     if not cost.strictly_convex:
         return False
     posterior_matrix = target.posterior_matrix()
-    return matrix_rank(posterior_matrix, rank_tol) == target.size
+    return matrix_rank(posterior_matrix) == target.size
 
 
-def check_no_dominance(nabla, identical_tol: float = 1e-12) -> bool:
+def check_no_dominance(nabla) -> bool:
     """True iff no marginal-cost column is weakly dominated by a convex
     combination of the columns not identical to it.
 
     Collections of gradients of a convex price always pass; the test guards
     user-supplied matrices meant to act as marginal-cost matrices.
     """
-    matrix = nabla.matrix if isinstance(nabla, MarginalCostMatrix) else np.asarray(nabla, dtype=float)
+    matrix = np.asarray(nabla, dtype=float)
     if not np.all(np.isfinite(matrix)):
         raise InputError("no-dominance test needs finite entries")
     n, k = matrix.shape
     for col in range(k):
         others = [
             j for j in range(k)
-            if j != col and not np.allclose(matrix[:, j], matrix[:, col], atol=identical_tol, rtol=0.0)
+            if j != col and not np.allclose(matrix[:, j], matrix[:, col],
+                                            atol=IDENTICAL_COLUMN_TOL, rtol=0.0)
         ]
         if not others:
             continue
@@ -257,9 +239,8 @@ def check_no_dominance(nabla, identical_tol: float = 1e-12) -> bool:
     return True
 
 
-def compare_implementable_sets(e_p: Experiment, e_p2: Experiment,
-                               rank_tol: float | None = None) -> OrderVerdict:
+def compare_implementable_sets(e_p: Experiment, e_p2: Experiment) -> OrderVerdict:
     """Which experiment can implement a larger set of targets, for every
     admissible cost and prior: decided by column-space containment."""
-    verdict = colspace_compare(e_p, e_p2, rank_tol)
+    verdict = colspace_compare(e_p, e_p2)
     return replace(verdict, order="implementable_sets")

@@ -26,7 +26,7 @@ from scipy.optimize._highspy import _core as _highs
 
 from .errors import DimensionMismatchError, InputError, SolverFailureError
 
-# Default relative factor for the singular-value rank cutoff.  The cutoff is
+# Relative factor of the singular-value rank cutoff.  The cutoff is
 # sigma_max * max(rows, cols) * RANK_TOL_FACTOR, i.e. scale-free.
 RANK_TOL_FACTOR = 1e-12
 
@@ -79,42 +79,29 @@ class PseudoInverse:
     def projector(self) -> np.ndarray:
         return self.source @ self.pinv
 
-    def column_space_residual(self, v) -> float:
-        """Euclidean norm of the component of ``v`` outside Col(source)."""
-        vec = as_vector(v)
-        if vec.size != self.source.shape[0]:
-            raise DimensionMismatchError(
-                f"vector of size {vec.size} vs {self.source.shape[0]} rows"
-            )
-        return float(np.linalg.norm(vec - self.source @ (self.pinv @ vec)))
 
-
-def _svd(arr: np.ndarray, rank_tol: float | None, full_matrices: bool = False):
+def _svd(arr: np.ndarray, full_matrices: bool = False):
     """The package's only SVD: ``(u, s, vt, rank)`` with singular values
-    above ``sigma_max * max(shape) * rank_tol`` counted in the rank."""
-    if rank_tol is None:
-        rank_tol = RANK_TOL_FACTOR
-    if rank_tol <= 0:
-        raise InputError("rank_tol must be positive")
+    above ``sigma_max * max(shape) * RANK_TOL_FACTOR`` counted in the rank."""
     u, s, vt = np.linalg.svd(arr, full_matrices=full_matrices)
-    cutoff = (s[0] * max(arr.shape) * rank_tol) if s.size and s[0] > 0 else 0.0
+    cutoff = (s[0] * max(arr.shape) * RANK_TOL_FACTOR) if s.size and s[0] > 0 else 0.0
     # Denormal singular values overflow on inversion; they are zero at any
     # representable scale.
     cutoff = max(cutoff, np.finfo(float).smallest_normal)
     return u, s, vt, int(np.count_nonzero(s > cutoff))
 
 
-def pseudo_inverse(a, rank_tol: float | None = None) -> PseudoInverse:
-    """SVD pseudo-inverse with a relative rank cutoff.
+def pseudo_inverse(a) -> PseudoInverse:
+    """SVD pseudo-inverse with the relative rank cutoff ``RANK_TOL_FACTOR``.
 
-    ``rank_tol`` defaults to ``RANK_TOL_FACTOR``.  The returned object
-    satisfies the four Penrose identities to ~1e-10 relative.  Every rank,
-    projector and null-space basis of the package comes from one SVD.
+    The returned object satisfies the four Penrose identities to ~1e-10
+    relative.  Every rank, projector and null-space basis of the package
+    comes from one SVD.
     """
     arr = as_matrix(a)
     # Only a wide matrix needs the full V for its null basis; a tall one
     # keeps the reduced factors, so nothing N x N is built.
-    u, s, vt, rank = _svd(arr, rank_tol, full_matrices=arr.shape[0] < arr.shape[1])
+    u, s, vt, rank = _svd(arr, full_matrices=arr.shape[0] < arr.shape[1])
     pinv = (vt[:rank].T / s[:rank]) @ u[:, :rank].T
     null_basis = vt[rank:].T.copy()
     sv = s.copy()
@@ -125,17 +112,17 @@ def pseudo_inverse(a, rank_tol: float | None = None) -> PseudoInverse:
                          null_basis=null_basis)
 
 
-def column_space_residual(a, v, rank_tol: float | None = None) -> float:
+def column_space_residual(a, v) -> float:
     """``||(I - A A^+) v||``: zero (up to tolerance) iff v lies in Col(A)."""
     arr, vec = as_matrix(a), as_vector(v)
     if vec.size != arr.shape[0]:
         raise DimensionMismatchError(f"vector of size {vec.size} vs {arr.shape[0]} rows")
-    u, _, _, rank = _svd(arr, rank_tol)
+    u, _, _, rank = _svd(arr)
     return float(np.linalg.norm(vec - u[:, :rank] @ (u[:, :rank].T @ vec)))
 
 
-def matrix_rank(a, rank_tol: float | None = None) -> int:
-    return _svd(as_matrix(a), rank_tol)[3]
+def matrix_rank(a) -> int:
+    return _svd(as_matrix(a))[3]
 
 
 def linprog(c, A_eq, b_eq) -> OptimizeResult:

@@ -73,6 +73,8 @@ MAX_ITERATIONS = 500
 DROP_TOL = 1e-13
 MIN_STEP = 1e-10
 ARMIJO = 1e-4
+# verify_contract passes a target within VERIFY_TOL of the agent's optimum.
+VERIFY_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -426,12 +428,13 @@ def agent_best_response(e_p: Experiment, t: Contract, cost: PosteriorCost,
 
 
 def verify_contract(e_p: Experiment, target: PosteriorDistribution,
-                    cost: PosteriorCost, t: Contract, tol: float = 1e-5,
+                    cost: PosteriorCost, t: Contract,
                     grid: GridSpec | None = None) -> bool:
-    """True iff the prescribed target comes within ``tol`` of the agent's
-    optimum under the contract (honest reports at its own posteriors).
+    """True iff the prescribed target comes within ``VERIFY_TOL`` of the
+    agent's optimum under the contract (honest reports at its own
+    posteriors).
 
     Under an entropy cost the optimum is the certified upper bound, so a
     pass is sound; on the grid route it is the grid optimum."""
     result = agent_best_response(e_p, t, cost, prior=cost.prior, grid=grid, target=target)
-    return bool(result.gap <= tol)
+    return bool(result.gap <= VERIFY_TOL)

@@ -112,13 +112,13 @@ def cone_compare(e, f) -> OrderVerdict:
     )
 
 
-def colspace_compare(e, f, rank_tol: float | None = None) -> OrderVerdict:
+def colspace_compare(e, f) -> OrderVerdict:
     """Compare column spaces through ranks of the stacked matrix."""
     a, b = _kernel(e), _kernel(f)
     _check_same_states(a, b)
-    rank_a = matrix_rank(a, rank_tol)
-    rank_b = matrix_rank(b, rank_tol)
-    rank_ab = matrix_rank(np.hstack([a, b]), rank_tol)
+    rank_a = matrix_rank(a)
+    rank_b = matrix_rank(b)
+    rank_ab = matrix_rank(np.hstack([a, b]))
     forward = rank_ab == rank_a   # Col(a) contains Col(b)
     backward = rank_ab == rank_b
     cert = {"rank_first": rank_a, "rank_second": rank_b, "rank_stacked": rank_ab}

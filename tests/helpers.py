@@ -155,7 +155,7 @@ def grid_search_corner_verdict(e, target, cost, zero_state, n_grid=2001):
     Returns (verdict, best residual, decision threshold)."""
     from infocontracts import marginal_cost_matrix, pseudo_inverse
 
-    nabla = marginal_cost_matrix(cost, target).matrix
+    nabla = marginal_cost_matrix(cost, target)
     d = nabla[:, 0] - nabla[:, 1]
     pinv = pseudo_inverse(e.kernel)
     complement = np.eye(3) - pinv.projector

@@ -143,18 +143,34 @@ def test_contract_command_not_implementable_exits_3(runner, tmp_path):
 
 
 def test_flags_that_would_do_nothing_are_rejected(runner, tmp_path):
-    # contract has no residual verdict and its LP tolerance is fixed;
-    # implementable solves no LP.
+    # Every numerical tolerance is a fixed module constant, so no command
+    # takes a tolerance flag.
     inputs = [
         "--experiment", write(tmp_path, "e.json", BINARY),
         "--target", write(tmp_path, "t.json", BINARY_TARGET),
         "--cost", write(tmp_path, "c.json", ENTROPY2),
     ]
     for args in (["contract", "--tol-residual", "1e-3"], ["contract", "--tol-lp", "1e-3"],
-                 ["implementable", "--tol-lp", "1e-3"]):
+                 ["implementable", "--tol-lp", "1e-3"], ["implementable", "--tol-rank", "1e-3"],
+                 ["implementable", "--tol-residual", "1e-3"], ["contract", "--tol-rank", "1e-3"]):
         result = runner.invoke(main, args + inputs)
         assert result.exit_code == 2, result.output
         assert "No such option" in result.output
+
+
+def test_environment_variables_do_not_change_a_command(runner, tmp_path):
+    args = [
+        "contract",
+        "--experiment", write(tmp_path, "e.json", BINARY),
+        "--target", write(tmp_path, "t.json", BINARY_TARGET),
+        "--cost", write(tmp_path, "c.json", ENTROPY2),
+    ]
+    plain = runner.invoke(main, args)
+    assert plain.exit_code == 0, plain.output
+    for env in ({"INFOCONTRACTS_CONTRACT_GRID": "5"}, {"INFOCONTRACTS_CONTRACT_VERIFY": "1"}):
+        result = runner.invoke(main, args, env=env)
+        assert result.exit_code == plain.exit_code, result.output
+        assert result.output == plain.output
 
 
 def test_compare_command_all_orders(runner, tmp_path):

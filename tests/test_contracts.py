@@ -313,7 +313,7 @@ def test_contract_serialization_round_trip(binary_instance):
 
 def _assert_kappa_is_direct_optimum(e, target, cost):
     report = optimal_contract(e, target, cost)
-    optimum = direct_min_payment(e.kernel, target, marginal_cost_matrix(cost, target).matrix)
+    optimum = direct_min_payment(e.kernel, target, marginal_cost_matrix(cost, target))
     assert report.payment_check == pytest.approx(optimum, rel=1e-8, abs=1e-10)
     assert report.kappa == pytest.approx(optimum, rel=1e-8, abs=1e-10)
     assert report.agency_rent == pytest.approx(report.kappa - report.first_best, abs=1e-12)
@@ -390,7 +390,7 @@ def test_closed_form_kappa_matches_direct_lp_on_full_rank_square_kernels(monkeyp
             signal = Experiment(random_stochastic(rng, n, int(rng.integers(2, 5))))
             target, cost = posteriors(signal, prior), entropy_cost(prior)
             report = optimal_contract(Experiment(kernel), target, cost)
-            optimum = direct_min_payment(kernel, target, marginal_cost_matrix(cost, target).matrix)
+            optimum = direct_min_payment(kernel, target, marginal_cost_matrix(cost, target))
             assert report.kappa == pytest.approx(optimum, rel=0, abs=1e-8)
             assert report.payment_check == pytest.approx(optimum, rel=0, abs=1e-8)
 
@@ -425,7 +425,7 @@ def test_solver_dust_on_a_payment_is_cleared_to_zero(monkeypatch):
     assert entry < m * k
     assert report.contract.payments[entry % m, entry // m] == 0.0
     assert report.contract.payments.min() == 0.0
-    optimum = direct_min_payment(e.kernel, target, marginal_cost_matrix(cost, target).matrix)
+    optimum = direct_min_payment(e.kernel, target, marginal_cost_matrix(cost, target))
     assert report.kappa == pytest.approx(optimum, abs=1e-8)
 
 

@@ -162,7 +162,7 @@ def test_contraction_toward_prior_is_cheaper():
 def test_marginal_cost_matrix_binary():
     cost = entropy_cost(Belief.uniform(2))
     dist = PosteriorDistribution([[0.7, 0.3], [0.3, 0.7]], [0.5, 0.5])
-    nabla = marginal_cost_matrix(cost, dist).matrix
+    nabla = marginal_cost_matrix(cost, dist)
     np.testing.assert_allclose(
         nabla,
         [[np.log(1.4), np.log(0.6)], [np.log(0.6), np.log(1.4)]],
@@ -174,7 +174,7 @@ def test_marginal_cost_matrix_at_own_uniform_prior_is_zero():
     prior = Belief.uniform(3)
     cost = entropy_cost(prior)
     dist = PosteriorDistribution([prior], [1.0])
-    nabla = marginal_cost_matrix(cost, dist).matrix
+    nabla = marginal_cost_matrix(cost, dist)
     np.testing.assert_allclose(nabla, np.zeros((3, 1)), atol=1e-12)
 
 
@@ -182,7 +182,7 @@ def test_marginal_cost_matrix_column_difference_three_state():
     cost = entropy_cost(Belief.uniform(3))
     dist = PosteriorDistribution(
         [[1 / 4, 1 / 4, 1 / 2], [5 / 12, 5 / 12, 1 / 6]], [0.5, 0.5])
-    nabla = marginal_cost_matrix(cost, dist).matrix
+    nabla = marginal_cost_matrix(cost, dist)
     diff = nabla[:, 0] - nabla[:, 1]
     np.testing.assert_allclose(
         diff, [np.log(3 / 5), np.log(3 / 5), np.log(3.0)], atol=1e-12)
@@ -195,7 +195,7 @@ def test_marginal_cost_matrix_rejects_boundary_for_entropy():
         marginal_cost_matrix(cost, dist)
     # bounded-slope costs accept the same distribution
     quad = quadratic_cost(Belief.uniform(2))
-    assert np.all(np.isfinite(marginal_cost_matrix(quad, dist).matrix))
+    assert np.all(np.isfinite(marginal_cost_matrix(quad, dist)))
 
 
 def test_total_cost_values():

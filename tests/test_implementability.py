@@ -17,7 +17,6 @@ from infocontracts import (
     Relation,
     SolverFailureError,
     check_implementable,
-    check_implementable_corner,
     check_no_dominance,
     check_unique_implementable,
     compare_implementable_sets,
@@ -70,7 +69,7 @@ def test_lambda_certificate_reconstructs_foc(entropy3):
     report = check_implementable(RANK2_EQUAL_ROWS, ON_LINE, entropy3)
     # the canonical contract pinv @ nabla has per-state payoff multiplier
     # lambda: kernel @ T - nabla must equal lambda in every column
-    nabla = marginal_cost_matrix(entropy3, ON_LINE).matrix
+    nabla = marginal_cost_matrix(entropy3, ON_LINE)
     pinv = pseudo_inverse(RANK2_EQUAL_ROWS.kernel)
     foc = RANK2_EQUAL_ROWS.kernel @ (pinv.pinv @ nabla) - nabla
     np.testing.assert_allclose(foc[:, 0], report.lambda_certificate, atol=1e-9)
@@ -104,17 +103,6 @@ def test_boundary_target_under_unbounded_slope_cost_rejected():
     assert "boundary" in report.reason
 
 
-def test_corner_check_on_interior_target_matches(entropy3):
-    interior = check_implementable(RANK2_EQUAL_ROWS, ON_LINE, entropy3)
-    corner = check_implementable_corner(RANK2_EQUAL_ROWS, ON_LINE, entropy3)
-    assert corner.implementable == interior.implementable
-    assert corner.mode == "corner"
-    np.testing.assert_allclose(corner.eta, 0.0, atol=1e-12)
-
-    corner_bad = check_implementable_corner(RANK2_EQUAL_ROWS, OFF_LINE, entropy3)
-    assert not corner_bad.implementable
-
-
 def test_corner_full_rank_boundary_target_implementable():
     quad = quadratic_cost(Belief.uniform(2))
     revealing = PosteriorDistribution([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5])
@@ -125,10 +113,14 @@ def test_corner_full_rank_boundary_target_implementable():
 
 
 def test_corner_needs_finite_gradients():
-    cost = entropy_cost(Belief.uniform(2))
+    # Entropy prices mislabelled as having a bounded slope: the target is
+    # decided in corner mode, where the -inf gradient entries must raise.
+    entropy = entropy_cost(Belief.uniform(2))
+    cost = custom_cost(entropy.prior, entropy.value, entropy.gradient, strictly_convex=True,
+                       infinite_boundary_slope=False, finite_on_boundary=True)
     revealing = PosteriorDistribution([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5])
     with pytest.raises(BoundaryMarginalCostError):
-        check_implementable_corner(Experiment([[0.8, 0.2], [0.3, 0.7]]), revealing, cost)
+        check_implementable(Experiment([[0.8, 0.2], [0.3, 0.7]]), revealing, cost)
 
 
 def test_revealing_target_under_uninformative_kernel_is_rejected():
@@ -153,7 +145,7 @@ def test_corner_lp_agrees_with_grid_search():
         if not feasible_grid and best < 4.0 * threshold:
             continue    # too close to call for a finite grid
         trials += 1
-        report = check_implementable_corner(e, target, cost)
+        report = check_implementable(e, target, cost)
         assert report.implementable == feasible_grid
         seen[feasible_grid] += 1
         if report.implementable:
@@ -334,6 +326,5 @@ def test_corner_lp_without_a_trustworthy_answer_is_a_solver_failure(monkeypatch)
 
     e, target, cost = corner_multiplier_instance(np.random.default_rng(41))
     monkeypatch.setattr(numerics, "nnls", stalled)
-    for check in (check_implementable, check_implementable_corner):
-        with pytest.raises(SolverFailureError, match="stalled"):
-            check(e, target, cost)
+    with pytest.raises(SolverFailureError, match="stalled"):
+        check_implementable(e, target, cost)

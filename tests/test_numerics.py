@@ -50,8 +50,6 @@ def test_deficient_three_state_kernel_has_rank_two():
 def test_pseudo_inverse_rejects_bad_input():
     with pytest.raises(InputError):
         pseudo_inverse(np.array([[np.nan, 1.0], [0.0, 1.0]]))
-    with pytest.raises(InputError):
-        pseudo_inverse(np.eye(2), rank_tol=-1.0)
 
 
 def penrose_violation(a, pinv):
