@@ -7,7 +7,7 @@ family of implementing contracts and the cost-minimizing one, computes the
 principal's indirect cost, and compares contractible experiments under the
 Blackwell, column-space, conic-span, and (binary-binary) indirect-cost
 orders.  An independent agent-side solver (exact and certified under entropy
-costs, on a belief grid otherwise) cross-checks every verdict.
+and quadratic costs, on a belief grid otherwise) cross-checks every verdict.
 """
 
 from .contracts import (

@@ -31,7 +31,7 @@ from .costs import cost_from_dict, entropy_cost
 from .errors import InputError, NotImplementableError, SolverFailureError
 from .experiments import Belief, Experiment, PosteriorDistribution, blackwell_compare, posteriors
 from .implementability import check_implementable
-from .oracle import GridSpec, agent_best_response
+from .oracle import agent_best_response
 from .orders import binary_k_compare, colspace_compare, cone_compare
 
 class CliInputError(click.ClickException):
@@ -173,11 +173,9 @@ def cmd_implementable(experiment_path, target_path, cost_path, strict, fmt, outp
 @click.option("--no-ll", "no_ll", is_flag=True,
               help="Drop limited liability: return the zero-rent benchmark contract.")
 @click.option("--verify", is_flag=True, help="Run the independent agent solver and embed the gap.")
-@click.option("--grid", type=int, default=None,
-              help="Grid points per axis for --verify (grid route; unused under an entropy cost).")
 @_format_option
 @_output_option
-def cmd_contract(experiment_path, target_path, cost_path, no_ll, verify, grid, fmt, output):
+def cmd_contract(experiment_path, target_path, cost_path, no_ll, verify, fmt, output):
     """Synthesize the cost-minimizing (or zero-rent benchmark) contract."""
     e_p = _load_experiment(experiment_path)
     cost = _load_cost(cost_path)
@@ -185,7 +183,6 @@ def cmd_contract(experiment_path, target_path, cost_path, no_ll, verify, grid, f
     contract = None
     failed = False
     with _library_errors():
-        grid_spec = GridSpec(resolution=grid)
         try:
             if no_ll:
                 family = synthesize_family(e_p, target, cost)
@@ -206,8 +203,7 @@ def cmd_contract(experiment_path, target_path, cost_path, no_ll, verify, grid, f
             failed = True
 
         if verify and contract is not None:
-            result = agent_best_response(e_p, contract, cost, cost.prior,
-                                         grid=grid_spec, target=target)
+            result = agent_best_response(e_p, contract, cost, cost.prior, target=target)
             payload["oracle_gap"] = result.gap
             payload["oracle_optimal_value"] = result.optimal_value
 
@@ -267,19 +263,16 @@ def cmd_compare(order, first_path, second_path, fmt, output):
 @click.option("--contract", "contract_path", required=True)
 @click.option("--target", "target_path", default=None,
               help="Optional target whose optimality gap should be measured.")
-@click.option("--grid", type=int, default=None,
-              help="Grid points per axis (grid route; unused under an entropy cost).")
 @_format_option
 @_output_option
-def cmd_oracle(experiment_path, cost_path, contract_path, target_path, grid, fmt, output):
+def cmd_oracle(experiment_path, cost_path, contract_path, target_path, fmt, output):
     """Solve the agent's learning problem under a given contract."""
     e_p = _load_experiment(experiment_path)
     cost = _load_cost(cost_path)
     contract = _load_contract(contract_path)
     target = None if target_path is None else _load_target(target_path, cost.prior)
     with _library_errors():
-        result = agent_best_response(e_p, contract, cost, cost.prior,
-                                     grid=GridSpec(resolution=grid), target=target)
+        result = agent_best_response(e_p, contract, cost, cost.prior, target=target)
 
     def as_table(payload):
         lines = [f"optimal value: {_fmt(payload['optimal_value'])}"]

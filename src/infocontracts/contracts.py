@@ -42,6 +42,14 @@ from .orders import binary_likelihood_ratios
 LL_TOL = 1e-12
 # Agreement required between the two expected-payment evaluations.
 PAYMENT_AGREEMENT_TOL = 1e-12
+# Side bets must have expected value within SIDE_BET_TOL of zero in every
+# state.
+SIDE_BET_TOL = 1e-9
+# Payments at most BINDING_TOL in magnitude are reported as binding cells.
+BINDING_TOL = 1e-9
+# The zero-rent bonus direction needs |prior @ P @ 1| of at least
+# DEGENERATE_BONUS_TOL, P the projector onto the kernel's column space.
+DEGENERATE_BONUS_TOL = 1e-12
 
 
 def rowmin(a: np.ndarray) -> np.ndarray:
@@ -134,7 +142,7 @@ class ContractFamily:
                 w = self.null_basis @ w
             if w.shape != (m, k):
                 raise DimensionMismatchError(f"side bets must be {m}x{k}")
-            if np.max(np.abs(self.experiment.kernel @ w), initial=0.0) > 1e-9:
+            if np.max(np.abs(self.experiment.kernel @ w), initial=0.0) > SIDE_BET_TOL:
                 raise InputError("side bets must have zero expected value in every state")
             payments += w
         return Contract(payments, limited_liability=limited_liability,
@@ -253,7 +261,7 @@ def optimal_contract(e_p: Experiment, target: PosteriorDistribution,
     # lambda(T*): the column mean of the first-order condition.
     kappa = first_best + float(cost.prior.probs @ (e_p.kernel @ payments - nabla).mean(axis=1))
     binding = tuple(
-        (int(i), int(j)) for i, j in zip(*np.nonzero(np.abs(payments) <= 1e-9))
+        (int(i), int(j)) for i, j in zip(*np.nonzero(np.abs(payments) <= BINDING_TOL))
     )
     check = expected_payment(e_p, target, cost.prior, contract)
     return CostReport(
@@ -299,7 +307,7 @@ def _zero_rent(family: ContractFamily, target: PosteriorDistribution, prior: Bel
     )
     ones = np.ones(family.experiment.n_states)
     denominator = float(prior.probs @ projector @ ones)
-    if abs(denominator) < 1e-12:
+    if abs(denominator) < DEGENERATE_BONUS_TOL:
         raise InputError("degenerate bonus direction; cannot normalize the benchmark contract")
     z = (family.report.first_best - projected_cost) / denominator
     payments = family.base + z * (family.pinv.pinv @ ones)[:, None]

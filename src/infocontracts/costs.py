@@ -39,7 +39,9 @@ class PosteriorCost:
     oracle: ``kind == "entropy"`` with a ``log_base`` param promises the
     Shannon prices of :func:`entropy_cost` in that base, and the oracle
     solves such a cost by its entropy route, reading ``value`` only at the
-    prior.
+    prior; ``kind == "quadratic"`` with a ``scale`` param promises the prices
+    of :func:`quadratic_cost`, which its quadratic route prices in closed
+    form.
     """
 
     kind: str

@@ -28,6 +28,10 @@ BAYES_TOL = 1e-9
 DROP_TOL = 1e-15
 # Kernel entries this close count as equal in the uniform-random-noise test.
 NOISE_TOL = 1e-12
+# A belief and each kernel row must sum to one within SUM_TOL, and the
+# weights of a posterior distribution within WEIGHT_SUM_TOL.
+SUM_TOL = 1e-12
+WEIGHT_SUM_TOL = 1e-9
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -46,7 +50,7 @@ class Belief:
         probs = np.asarray(probs, dtype=float).reshape(-1)
         if probs.size < 1 or not np.all(np.isfinite(probs)):
             raise InputError("belief must be a finite probability vector")
-        if np.any(probs < -SIMPLEX_TOL) or abs(probs.sum() - 1.0) > 1e-12:
+        if np.any(probs < -SIMPLEX_TOL) or abs(probs.sum() - 1.0) > SUM_TOL:
             raise InputError(f"belief {probs} is not on the probability simplex")
         object.__setattr__(self, "probs", _frozen(np.clip(probs, 0.0, None)))
 
@@ -91,7 +95,7 @@ class Experiment:
         if np.any(kernel < -SIMPLEX_TOL):
             raise InputError("kernel has negative entries")
         row_sums = kernel.sum(axis=1)
-        if np.any(np.abs(row_sums - 1.0) > 1e-12):
+        if np.any(np.abs(row_sums - 1.0) > SUM_TOL):
             raise InputError(f"kernel rows must sum to 1, got {row_sums}")
         n, m = kernel.shape
         states = _default_labels("w", n) if states is None else tuple(states)
@@ -143,7 +147,7 @@ class PosteriorDistribution:
         weights = np.asarray(weights, dtype=float).reshape(-1)
         if len(beliefs) != weights.size or len(beliefs) == 0:
             raise DimensionMismatchError("need one weight per belief")
-        if np.any(weights < -SIMPLEX_TOL) or abs(weights.sum() - 1.0) > 1e-9:
+        if np.any(weights < -SIMPLEX_TOL) or abs(weights.sum() - 1.0) > WEIGHT_SUM_TOL:
             raise InputError("weights must be a probability vector")
         n = beliefs[0].n_states
         if any(b.n_states != n for b in beliefs):

@@ -87,9 +87,9 @@ class ImplementabilityReport:
         }
 
 
-def _no(reason: str, first_best: float) -> ImplementabilityReport:
+def _no(reason: str, first_best: float, mode: str) -> ImplementabilityReport:
     return ImplementabilityReport(
-        implementable=False, first_best=first_best, mode="interior", residuals=np.array([]),
+        implementable=False, first_best=first_best, mode=mode, residuals=np.array([]),
         diff_norms=np.array([]), lambda_certificate=None, eta=None, tolerance=RESIDUAL_TOL,
         full_row_rank=False, reason=reason,
     )
@@ -135,17 +135,17 @@ def check_implementable(e_p: Experiment, target: PosteriorDistribution,
     """
     _check_spaces(e_p, target, cost)
     first_best = total_cost(cost, target)
-    if math.isinf(first_best):
-        return _no("target has infinite information cost", first_best)
     boundary = target.posterior_matrix() < INTERIOR_THRESHOLD
     corner = bool(boundary.any())
+    mode = "corner" if corner else "interior"
+    if math.isinf(first_best):
+        return _no("target has infinite information cost", first_best, mode)
     if corner and cost.infinite_boundary_slope:
         return _no(
             "target includes a boundary posterior but the cost's slope is "
             "unbounded at the boundary, so such learning is never optimal",
-            first_best,
+            first_best, mode,
         )
-    mode = "corner" if corner else "interior"
 
     nabla = marginal_cost_matrix(cost, target)
     if corner and not np.all(np.isfinite(nabla)):

@@ -6,7 +6,7 @@ payment net of the information cost.  Its value is the upper concave
 envelope of the net value at the prior (concavification, Kamenica &
 Gentzkow 2011).  No pseudo-inverse, no first-order condition: agreement
 with the synthesis machinery is therefore a genuine two-route check.
-Two routes solve the problem.
+Three routes solve the problem.
 
 Costs built by :func:`~infocontracts.costs.entropy_cost` take an exact
 route at any number of states.  The problem is then rational inattention
@@ -22,6 +22,21 @@ upper bound, so a passing ``verify_contract`` is sound.  The support is the
 channel's posteriors ``mu_x = mu0 * exp(u_x / s) / (z D_x)`` at weights
 ``q_x D_x``: they average to the prior exactly and are worth at least
 ``f(q)``, the lower end of the reported bracket.
+
+Costs built by :func:`~infocontracts.costs.quadratic_cost` take an exact
+route at any number of states too.  With cost prior ``a`` and scale ``s``,
+report ``k``'s best posterior against a multiplier ``lam`` is the Euclidean
+projection ``m_k = proj(a + (u_k - lam) / (2 s))`` onto the simplex, worth
+``h_k = m_k @ (u_k - lam) - s ||m_k - a||^2``, and by weak duality every
+``lam`` bounds the agent's value by ``g(lam) = mu0 @ lam + max_k h_k``.
+A restricted LP over the prior, the simplex vertices, the target's
+posteriors and each ``m_k(0)`` picks the reports to play; semismooth Newton
+steps on the KKT system (``sum_A w_k m_k = mu0``, ``h_k = t`` on the
+active reports ``A``) polish the multiplier, the posteriors and their
+weights, and the solve stops once ``g`` is within ``CERTIFICATE_TOL`` of
+the polished support's value.  ``optimal_value`` is ``g``; the support's
+value is the lower end of the bracket.  Otherwise the posteriors above the
+LP's plane join it, for at most ``QUADRATIC_ROUNDS`` rounds.
 
 Every other cost is solved at 2 or 3 states on a dense belief grid:
 evaluate the net payoff of the best report at every grid belief, then find
@@ -67,6 +82,13 @@ PRICING_BATCH = 32
 # CERTIFICATE_TOL times max(1, |f(q)|), and fails past MAX_ITERATIONS.
 CERTIFICATE_TOL = 1e-12
 MAX_ITERATIONS = 500
+# The quadratic route stops on the same certificate and fails past
+# QUADRATIC_ROUNDS restricted LPs.  Each round polishes the LP's solution by
+# at most NEWTON_STEPS Newton steps, each halved down to NEWTON_MIN_STEP
+# until it cuts the KKT residual by ARMIJO times its length.
+QUADRATIC_ROUNDS = 20
+NEWTON_STEPS = 30
+NEWTON_MIN_STEP = 1e-3
 # A report leaves the support once its probability falls below DROP_TOL
 # while D_x < 1.  Line searches halve their step down to MIN_STEP and
 # accept a Newton step that gains ARMIJO times its predicted gain.
@@ -131,10 +153,13 @@ class OracleResult:
 
     ``route`` names the solver that ran.  On the ``"entropy"`` route,
     ``bracket`` is ``(f(q), optimal_value)``: the value of the returned
-    channel and the certified upper bound; no grid is built, so ``grid`` is None and the grid
-    counts are 0.  On the ``"grid"`` route ``optimal_value`` is the grid
-    optimum, a lower bound on the agent's optimum over all beliefs, and
-    ``bracket`` is None.
+    channel and the certified upper bound; no grid is built, so ``grid`` is
+    None and the grid counts are 0.  On the ``"quadratic"`` route
+    ``bracket`` is ``(value of the support, optimal_value)``, whose upper
+    end is the dual bound ``g``; no grid is built, and ``lp_columns`` and
+    ``pricing_rounds`` count the restricted LP's work.  On the ``"grid"``
+    route ``optimal_value`` is the grid optimum, a lower bound on the
+    agent's optimum over all beliefs, and ``bracket`` is None.
     """
 
     optimal_value: float
@@ -181,6 +206,20 @@ class _Envelope(NamedTuple):
     rounds: int
 
 
+def _restricted_lp(points: np.ndarray, values: np.ndarray, prior: np.ndarray):
+    """Weights ``w >= 0`` maximizing ``values @ w`` with ``points.T @ w =
+    prior`` and ``sum(w) = 1``, and the dual plane: ``[belief, 1] @ plane``
+    lies above every value in ``values``."""
+    lifted = np.column_stack([points, np.ones(points.shape[0])])
+    try:
+        weights, duals = solve_lp(-values, lifted.T, np.append(prior, 1.0))
+    except SolverFailureError as exc:
+        raise SolverFailureError(f"best-response LP did not resolve: {exc}") from exc
+    # HiGHS's equality marginals y satisfy values + lifted @ y <= 0, so -y
+    # is the plane the values lie under.
+    return weights, -duals
+
+
 def _concavify(points: np.ndarray, values: np.ndarray, prior: np.ndarray,
                start: np.ndarray) -> _Envelope:
     """Maximize ``values @ w`` over ``w >= 0`` with ``points.T @ w = prior``
@@ -188,19 +227,12 @@ def _concavify(points: np.ndarray, values: np.ndarray, prior: np.ndarray,
     which must hold a belief equal to the prior so that every restricted LP
     is feasible.  Each round adds at least one new column, so the loop ends."""
     lifted = np.column_stack([points, np.ones(points.shape[0])])
-    b_eq = np.append(prior, 1.0)
     tol = PRICING_TOL * max(1.0, float(np.abs(values).max()))
     active = np.unique(start)
     rounds = 0
     while True:
         rounds += 1
-        try:
-            weights, duals = solve_lp(-values[active], lifted[active].T, b_eq)
-        except SolverFailureError as exc:
-            raise SolverFailureError(f"best-response LP did not resolve: {exc}") from exc
-        # HiGHS's equality marginals y satisfy values + lifted @ y <= 0 on
-        # the active set, so -y is the plane the envelope lies under.
-        plane = -duals
+        weights, plane = _restricted_lp(points[active], values[active], prior)
         excess = values - lifted @ plane
         excess[active] = -np.inf
         entering = np.flatnonzero(excess > tol)
@@ -211,12 +243,17 @@ def _concavify(points: np.ndarray, values: np.ndarray, prior: np.ndarray,
         active = np.concatenate([active, entering])
 
 
-def _entropy_scale(cost: PosteriorCost) -> float | None:
-    """``1 / ln(log_base)`` for a cost labelled as ``entropy_cost`` labels
-    it, else None.  The label is trusted: the route prices only the prior."""
+def _route(cost: PosteriorCost) -> tuple[str, float | None]:
+    """The route for a cost and its scale, read from the labels that
+    ``entropy_cost`` and ``quadratic_cost`` attach: ``("entropy",
+    1 / ln(log_base))``, ``("quadratic", scale)`` or ``("grid", None)``.
+    The labels are trusted: the entropy route prices only the prior, and the
+    quadratic route prices off the grid by the labelled formula."""
     if cost.kind == "entropy" and "log_base" in cost.params:
-        return 1.0 / math.log(cost.params["log_base"])
-    return None
+        return "entropy", 1.0 / math.log(cost.params["log_base"])
+    if cost.kind == "quadratic" and "scale" in cost.params:
+        return "quadratic", float(cost.params["scale"])
+    return "grid", None
 
 
 class _Channel(NamedTuple):
@@ -354,6 +391,176 @@ def _entropy_response(utilities: np.ndarray, cost: PosteriorCost, prior: np.ndar
     )
 
 
+def _project_rows(x: np.ndarray) -> np.ndarray:
+    """Euclidean projection of each row of ``x`` onto the simplex, by
+    sorting: the support is the prefix of the sorted row on which
+    ``x_j - (partial sum - 1) / j`` stays positive.  Rows are rescaled to
+    sum to one against the rounding of large entries."""
+    desc = -np.sort(-x, axis=1)
+    excess = np.cumsum(desc, axis=1) - 1.0
+    size = (desc > excess / np.arange(1, x.shape[1] + 1)).sum(axis=1)
+    shift = excess[np.arange(x.shape[0]), size - 1] / size
+    projected = np.maximum(x - shift[:, None], 0.0)
+    return projected / projected.sum(axis=1, keepdims=True)
+
+
+def _priced(utilities: np.ndarray, anchor: np.ndarray, scale: float, lam: np.ndarray):
+    """Each report's priced posterior ``m_k = proj(anchor + (u_k - lam) / (2 scale))``
+    (rows), the maximizer of ``m @ (u_k - lam) - scale ||m - anchor||^2``
+    over the simplex, and that maximum ``h_k``."""
+    shifted = utilities.T - lam
+    m = _project_rows(anchor + shifted / (2.0 * scale))
+    h = np.einsum("kn,kn->k", m, shifted) - scale * ((m - anchor) ** 2).sum(axis=1)
+    return m, h
+
+
+class _Kkt(NamedTuple):
+    """A point of the quadratic route's KKT system: the multiplier, the
+    level ``t``, the active reports and their weights."""
+
+    lam: np.ndarray
+    level: float
+    active: np.ndarray
+    weights: np.ndarray
+
+
+def _kkt_polish(utilities: np.ndarray, anchor: np.ndarray, scale: float, prior: np.ndarray,
+                start: _Kkt) -> _Kkt:
+    """Semismooth Newton steps on ``sum_A w_k m_k(lam) = prior``,
+    ``h_k(lam) = t`` on the active reports ``A`` and ``1' lam = 0``, while
+    each step shrinks the residual.  ``m_k`` moves by ``-P_k / (2 scale)``
+    per unit of ``lam``, with ``P_k`` the centring projector on its support,
+    and ``h_k`` by ``-m_k``."""
+    n, active = prior.size, start.active
+    size = n + 1 + active.size
+
+    def residual(point: _Kkt) -> tuple[np.ndarray, np.ndarray]:
+        m, h = _priced(utilities[:, active], anchor, scale, point.lam)
+        return np.concatenate([point.weights @ m - prior, h - point.level, [point.lam.sum()]]), m
+
+    point = start
+    r, m = residual(point)
+    for _ in range(NEWTON_STEPS):
+        jac = np.zeros((size, size))
+        for i, (w, mk) in enumerate(zip(point.weights, m)):
+            on = (mk > 0.0).astype(float)
+            jac[:n, :n] -= w / (2.0 * scale) * (np.diag(on) - np.outer(on, on) / on.sum())
+            jac[:n, n + 1 + i] = mk
+            jac[n + i, :n] = -mk
+        jac[n:n + active.size, n] = -1.0
+        jac[-1, :n] = 1.0
+        step = np.linalg.lstsq(jac, -r, rcond=None)[0]
+        # A step this small changes nothing the certificate can see: take
+        # it if it helps, then stop.  Larger steps halve until they help.
+        final = np.abs(step).max() <= CERTIFICATE_TOL * max(
+            1.0, abs(point.level), float(np.abs(point.lam).max()))
+        length = 1.0
+        while True:
+            trial = _Kkt(point.lam + length * step[:n], point.level + length * step[n],
+                         active, point.weights + length * step[n + 1:])
+            r_trial, m_trial = residual(trial)
+            if np.linalg.norm(r_trial) <= (1.0 - ARMIJO * length) * np.linalg.norm(r):
+                break
+            length *= 0.5
+            if final or length < NEWTON_MIN_STEP:
+                return point
+        point, r, m = trial, r_trial, m_trial
+        if final:
+            break
+    return point
+
+
+def _with_active_set(utilities: np.ndarray, anchor: np.ndarray, scale: float,
+                     prior: np.ndarray, point: _Kkt) -> _Kkt:
+    """Polish ``point``, then, once per report at most, drop the active
+    report of most negative weight or admit, at weight zero, the report
+    whose ``h_k`` exceeds the level most, and polish again."""
+    point = _kkt_polish(utilities, anchor, scale, prior, point)
+    for _ in range(utilities.shape[1]):
+        excess = _priced(utilities, anchor, scale, point.lam)[1] - point.level
+        excess[point.active] = -np.inf
+        if point.weights.min() < 0.0 and point.active.size > 1:
+            keep = np.arange(point.active.size) != np.argmin(point.weights)
+            point = point._replace(active=point.active[keep], weights=point.weights[keep])
+        elif excess.max() > 0.0:
+            point = point._replace(active=np.append(point.active, np.argmax(excess)),
+                                   weights=np.append(point.weights, 0.0))
+        else:
+            break
+        point = _kkt_polish(utilities, anchor, scale, prior, point)
+    return point
+
+
+def _fitted_multiplier(utilities: np.ndarray, anchor: np.ndarray, scale: float,
+                       posts: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """The multiplier under which each active report's priced posterior is
+    its row of ``posts``, by least squares on ``lam_n - c_k = u_kn - 2 scale
+    (p_kn - anchor_n)`` wherever ``p_kn > 0``.  A state no row charges gets
+    the least ``lam_n`` that keeps every row off it,
+    ``max_k u_kn + 2 scale anchor_n + c_k``."""
+    n, u = anchor.size, utilities[:, active]
+    k, state = np.nonzero(posts > 0.0)
+    rows = np.zeros((k.size, n + active.size))
+    rows[np.arange(k.size), state] = 1.0
+    rows[np.arange(k.size), n + k] = -1.0
+    rhs = u[state, k] - 2.0 * scale * (posts[k, state] - anchor[state])
+    fit = np.linalg.lstsq(rows, rhs, rcond=None)[0]
+    kink = (u + 2.0 * scale * anchor[:, None] + fit[n:]).max(axis=1)
+    lam = np.where((posts > 0.0).any(axis=0), fit[:n], kink)
+    return lam - lam.mean()
+
+
+def _quadratic_response(utilities: np.ndarray, cost: PosteriorCost, prior: np.ndarray,
+                        scale: float, target: PosteriorDistribution | None) -> OracleResult:
+    """The quadratic route (module docstring).  Each round's Newton polish
+    starts from a multiplier fitted to the LP's support and, failing that,
+    from the LP's dual plane; failing both, the posteriors priced at the
+    plane that lie above it and both polished supports join the LP.  The
+    support must average to the prior within ``CERTIFICATE_TOL * max(1,
+    max|u| / scale)``, the rounding of the priced posteriors."""
+    anchor, n = cost.prior.probs, prior.size
+    mean_tol = CERTIFICATE_TOL * max(1.0, float(np.abs(utilities).max()) / scale)
+    columns = [prior[None, :], np.eye(n), _priced(utilities, anchor, scale, np.zeros(n))[0]]
+    if target is not None:
+        columns.append(target.posterior_matrix().T)
+    columns = np.vstack(columns)
+    for rounds in range(1, QUADRATIC_ROUNDS + 1):
+        values = _net_values(columns, utilities, cost)
+        lp_weights, plane = _restricted_lp(columns, values, prior)
+        slope, level = plane[:-1] - plane[:-1].mean(), plane[-1] + plane[:-1].mean()
+        on = lp_weights > 0.0
+        active, played = np.unique(np.argmax(columns[on] @ utilities, axis=1),
+                                   return_inverse=True)
+        weights = np.bincount(played, lp_weights[on])
+        posts = np.zeros((active.size, n))
+        np.add.at(posts, played, lp_weights[on, None] * columns[on])
+        posts /= weights[:, None]
+        tried = []
+        for lam in (_fitted_multiplier(utilities, anchor, scale, posts, active), slope):
+            level_at = float(_priced(utilities[:, active], anchor, scale, lam)[1].mean())
+            point = _with_active_set(utilities, anchor, scale, prior,
+                                     _Kkt(lam, level_at, active, weights))
+            m, h = _priced(utilities, anchor, scale, point.lam)
+            mass, support = np.maximum(point.weights, 0.0), m[point.active]
+            lower = float(mass @ _net_values(support, utilities, cost))
+            # Rounding can leave g a few ulps under the value it bounds.
+            upper = max(float(prior @ point.lam + h.max()), lower)
+            if (np.abs(mass @ support - prior).max() <= mean_tol
+                    and upper - lower <= CERTIFICATE_TOL * max(1.0, abs(lower))):
+                points, mass = _merge_coincident(support[mass > 0.0], mass[mass > 0.0])
+                return OracleResult(
+                    optimal_value=upper, support_beliefs=tuple(Belief(p) for p in points),
+                    support_weights=mass, target_value=None, gap=None, route="quadratic",
+                    lp_columns=columns.shape[0], pricing_rounds=rounds, bracket=(lower, upper),
+                )
+            tried.append(support)
+        priced, gain = _priced(utilities, anchor, scale, slope)
+        above = gain > level + PRICING_TOL * max(1.0, float(np.abs(values).max()))
+        columns = np.vstack([columns, priced[above], *tried])
+    raise SolverFailureError(
+        f"the quadratic best response was not certified within {QUADRATIC_ROUNDS} rounds")
+
+
 def _grid_response(utilities: np.ndarray, cost: PosteriorCost, prior: Belief,
                    grid: GridSpec, target: PosteriorDistribution | None) -> OracleResult:
     n = prior.n_states
@@ -398,26 +605,30 @@ def agent_best_response(e_p: Experiment, t: Contract, cost: PosteriorCost,
     """Solve the agent's learning problem under contract ``t``.
 
     A cost built by ``entropy_cost`` takes the certified
-    rational-inattention route at any number of states, and ``grid`` is
-    not used.  The route is chosen from the cost's labels (``kind ==
-    "entropy"`` with a ``log_base`` param), which promise Shannon prices in
-    that base; a cost that carries those labels over other prices is solved
-    as if it had the Shannon prices.  Any other cost is solved on the belief grid at 2 or 3
-    states: the net value of the best report at every grid belief, and its
-    best expectation over grid distributions averaging back to the prior
-    (an LP, solved by column generation).  Returns the achieving support
-    and, for a target, how far its value falls short of the optimum.
+    rational-inattention route and one built by ``quadratic_cost`` the
+    certified projection route, both at any number of states, and ``grid``
+    is not used.  The route is chosen from the cost's labels (``kind ==
+    "entropy"`` with a ``log_base`` param, or ``kind == "quadratic"`` with
+    a ``scale`` param), which promise those prices; a cost that carries the
+    labels over other prices is solved as if it had the labelled prices.
+    Any other cost is solved on the belief grid at 2 or 3 states: the net
+    value of the best report at every grid belief, and its best expectation
+    over grid distributions averaging back to the prior (an LP, solved by
+    column generation).  Returns the achieving support and, for a target,
+    how far its value falls short of the optimum.
     """
     if prior.n_states != e_p.n_states:
         raise DimensionMismatchError("prior does not match the experiment")
     if t.payments.shape[0] != e_p.n_realizations:
         raise DimensionMismatchError("contract rows do not match the experiment realizations")
     utilities = e_p.kernel @ t.payments
-    scale = _entropy_scale(cost)
-    if scale is None:
-        result = _grid_response(utilities, cost, prior, grid or GridSpec(), target)
-    else:
+    route, scale = _route(cost)
+    if route == "entropy":
         result = _entropy_response(utilities, cost, prior.probs, scale)
+    elif route == "quadratic":
+        result = _quadratic_response(utilities, cost, prior.probs, scale, target)
+    else:
+        result = _grid_response(utilities, cost, prior, grid or GridSpec(), target)
     if target is None:
         return result
     interim = target.posterior_matrix().T @ utilities      # K x K
@@ -434,7 +645,7 @@ def verify_contract(e_p: Experiment, target: PosteriorDistribution,
     agent's optimum under the contract (honest reports at its own
     posteriors).
 
-    Under an entropy cost the optimum is the certified upper bound, so a
-    pass is sound; on the grid route it is the grid optimum."""
+    Under an entropy or quadratic cost the optimum is the certified upper
+    bound, so a pass is sound; on the grid route it is the grid optimum."""
     result = agent_best_response(e_p, t, cost, prior=cost.prior, grid=grid, target=target)
     return bool(result.gap <= VERIFY_TOL)

@@ -323,5 +323,6 @@ def grid_lp_best_response(e_p, contract, cost, prior, grid=None, target=None) ->
 
 def grid_priced(cost):
     """The same prices under a kind the oracle solves on its belief grid:
-    an entropy cost keeps its vectorized price but not the entropy route."""
+    an entropy or quadratic cost keeps its vectorized price but not its
+    exact route."""
     return replace(cost, kind="custom")

@@ -16,6 +16,7 @@ from infocontracts import (
     optimal_contract,
 )
 from infocontracts.cli import main
+from infocontracts.oracle import CERTIFICATE_TOL
 
 BINARY = {"kernel": [[0.7, 0.3], [0.3, 0.7]]}
 BINARY_SKEWED = {"kernel": [[0.5, 0.5], [0.2, 0.8]]}
@@ -142,9 +143,29 @@ def test_contract_command_not_implementable_exits_3(runner, tmp_path):
     assert payload["kappa"] == "inf"
 
 
+def test_rejected_boundary_target_is_labelled_corner(runner, tmp_path):
+    # Entropy's slope is unbounded at the boundary, so the revealing target
+    # is rejected; it still has boundary posteriors, so its mode is corner.
+    revealing = {"posteriors": [[1.0, 0.0], [0.0, 1.0]], "weights": [0.5, 0.5]}
+    inputs = [
+        "--experiment", write(tmp_path, "e.json", BINARY),
+        "--target", write(tmp_path, "t.json", revealing),
+        "--cost", write(tmp_path, "c.json", ENTROPY2),
+    ]
+    result = runner.invoke(main, ["implementable"] + inputs)
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.output)
+    assert payload["implementable"] is False and payload["mode"] == "corner"
+    result = runner.invoke(main, ["contract"] + inputs)
+    assert result.exit_code == 3, result.output
+    payload = json.loads(result.output)
+    assert payload["kappa"] == "inf" and payload["mode"] == "corner"
+
+
 def test_flags_that_would_do_nothing_are_rejected(runner, tmp_path):
     # Every numerical tolerance is a fixed module constant, so no command
-    # takes a tolerance flag.
+    # takes a tolerance flag; no cost the CLI loads is solved on a belief
+    # grid, so no command takes a grid flag.
     inputs = [
         "--experiment", write(tmp_path, "e.json", BINARY),
         "--target", write(tmp_path, "t.json", BINARY_TARGET),
@@ -152,7 +173,9 @@ def test_flags_that_would_do_nothing_are_rejected(runner, tmp_path):
     ]
     for args in (["contract", "--tol-residual", "1e-3"], ["contract", "--tol-lp", "1e-3"],
                  ["implementable", "--tol-lp", "1e-3"], ["implementable", "--tol-rank", "1e-3"],
-                 ["implementable", "--tol-residual", "1e-3"], ["contract", "--tol-rank", "1e-3"]):
+                 ["implementable", "--tol-residual", "1e-3"], ["contract", "--tol-rank", "1e-3"],
+                 ["contract", "--grid", "501"], ["contract", "--verify", "--grid", "501"],
+                 ["oracle", "--grid", "501"]):
         result = runner.invoke(main, args + inputs)
         assert result.exit_code == 2, result.output
         assert "No such option" in result.output
@@ -201,13 +224,15 @@ def test_oracle_command(runner, tmp_path):
         "--cost", write(tmp_path, "c.json", QUADRATIC2),
         "--contract", write(tmp_path, "k.json", contract),
         "--target", write(tmp_path, "t.json", BINARY_TARGET),
-        "--grid", "501",
     ]
     result = runner.invoke(main, args)
     assert result.exit_code == 0, result.output
     payload = json.loads(result.output)
     assert payload["gap"] is not None
-    assert payload["n_grid_points"] >= 501
+    assert payload["route"] == "quadratic" and payload["grid"] is None
+    lower, upper = payload["bracket"]
+    assert upper == payload["optimal_value"]
+    assert 0.0 <= upper - lower <= CERTIFICATE_TOL * max(1.0, abs(lower))
     for key in ("lp_columns", "pricing_rounds"):
         assert type(payload[key]) is int and payload[key] > 0
 
@@ -289,7 +314,6 @@ def test_contract_json_round_trips_through_oracle_command(runner, tmp_path):
         "--cost", write(tmp_path, "c2.json", ENTROPY2),
         "--contract", str(tmp_path / "contract.json"),
         "--target", write(tmp_path, "t2.json", BINARY_TARGET),
-        "--grid", "501",
     ]
     result = runner.invoke(main, oracle_args)
     assert result.exit_code == 0, result.output
@@ -326,11 +350,11 @@ def test_contract_verify_with_a_too_coarse_grid_exits_2(runner, tmp_path):
         "--target", write(tmp_path, "t.json", BINARY_TARGET),
         "--cost", write(tmp_path, "c.json", ENTROPY2),
     ]
-    # The grid is validated whether or not --verify asks for the oracle.
+    # No cost the CLI loads takes the grid route, so --grid is gone.
     for args in (["contract", "--verify", "--grid", "50"], ["contract", "--grid", "5"]):
         result = runner.invoke(main, args + inputs)
         assert result.exit_code == 2, result.output
-        assert "grid resolution" in result.output
+        assert "No such option" in result.output
         assert not isinstance(result.exception, InputError)
 
 

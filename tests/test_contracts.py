@@ -170,6 +170,22 @@ def test_optimal_contract_not_implementable_sentinel():
     assert report.contract is None
 
 
+def test_rejected_targets_keep_their_mode():
+    # The interior off-line target fails the column-space test; the
+    # revealing target is rejected because entropy's slope is unbounded at
+    # its boundary posteriors.
+    cost = entropy_cost(Belief.uniform(3))
+    e = Experiment([[3 / 8, 5 / 8], [3 / 8, 5 / 8], [3 / 4, 1 / 4]])
+    off_line = PosteriorDistribution(
+        [[1 / 2, 1 / 6, 1 / 3], [1 / 6, 1 / 2, 1 / 3]], [0.5, 0.5])
+    assert optimal_contract(e, off_line, cost).mode == "interior"
+    revealing = PosteriorDistribution([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5])
+    for report in (optimal_contract(BINARY, revealing, entropy_cost(Belief.uniform(2))),
+                   check_implementable(BINARY, revealing, entropy_cost(Belief.uniform(2)))):
+        assert not report.implementable
+        assert report.mode == "corner"
+
+
 def test_deficient_rank_optimum_beats_random_feasible_points():
     rng = np.random.default_rng(5)
     cases = 0

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 from helpers import (
+    corner_instance,
     corner_multiplier_instance,
     equal_rows_instance,
+    full_rank_corner_instance,
     grid_lp_best_response,
     grid_priced,
     random_interior_prior,
@@ -250,14 +252,14 @@ def _grid_cases():
     cases = []
     for _ in range(4):           # 3 states, Dirichlet priors, random contracts
         prior = Belief(rng.dirichlet(np.full(3, 2.0)))
-        cost = (grid_priced(entropy_cost(prior)) if rng.random() < 0.5
-                else quadratic_cost(prior, rng.uniform(0.5, 2)))
+        cost = grid_priced(entropy_cost(prior) if rng.random() < 0.5
+                           else quadratic_cost(prior, rng.uniform(0.5, 2)))
         e = Experiment(random_stochastic(rng, 3, 3))
         cases.append((e, Contract(rng.uniform(0, 2, (3, 3))), cost, prior, coarse, None))
     for _ in range(4):           # 2 states, random contracts, default grid
         prior = random_interior_prior(rng, 2)
-        cost = (grid_priced(entropy_cost(prior)) if rng.random() < 0.5
-                else quadratic_cost(prior, rng.uniform(0.5, 2)))
+        cost = grid_priced(entropy_cost(prior) if rng.random() < 0.5
+                           else quadratic_cost(prior, rng.uniform(0.5, 2)))
         e = Experiment(random_stochastic(rng, 2, 3))
         cases.append((e, Contract(rng.uniform(0, 2, (3, 2))), cost, prior, GridSpec(), None))
     for _ in range(3):           # rank-deficient equal-row kernels, optimal contracts
@@ -267,7 +269,7 @@ def _grid_cases():
     for _ in range(3):           # 3x2 corner kernels, quadratic cost, optimal contracts
         e, target, cost = corner_multiplier_instance(rng)
         contract = optimal_contract(e, target, cost).contract
-        cases.append((e, contract, cost, cost.prior, coarse, target))
+        cases.append((e, contract, grid_priced(cost), cost.prior, coarse, target))
     e, target, cost = equal_rows_instance(rng)   # augment beliefs off the grid
     extra = (Belief([0.1234, 0.4321, 0.4445]), Belief([0.7071, 0.1, 0.1929]))
     cases.append((e, Contract(rng.uniform(0, 2, (3, 3))), grid_priced(cost), cost.prior,
@@ -288,6 +290,7 @@ def test_column_generation_matches_the_full_grid_lp(case):
     e, contract, cost, prior, grid, target = case
     result = agent_best_response(e, contract, cost, prior, grid=grid, target=target)
     full = grid_lp_best_response(e, contract, cost, prior, grid=grid, target=target)
+    assert result.route == "grid"
     assert abs(result.optimal_value - full) <= 1e-9
     weights = result.support_weights
     support = np.array([b.probs for b in result.support_beliefs])
@@ -526,7 +529,7 @@ def test_entropy_route_builds_no_grid_and_runs_no_lp(binary_instance, monkeypatc
     assert payload["route"] == "entropy" and payload["grid"] is None
     assert payload["bracket"] == list(result.bracket)
     assert payload["n_grid_points"] == payload["lp_columns"] == payload["pricing_rounds"] == 0
-    agent_best_response(BINARY, contract, quadratic_cost(prior), prior)
+    agent_best_response(BINARY, contract, grid_priced(cost), prior)
     assert "simplex_grid" in calls and "solve_lp" in calls
 
 
@@ -537,3 +540,99 @@ def test_entropy_route_past_its_iteration_cap_is_a_solver_failure(binary_instanc
     monkeypatch.setattr(oracle, "MAX_ITERATIONS", 1)
     with pytest.raises(SolverFailureError, match="not certified"):
         agent_best_response(BINARY, contract, cost, prior)
+
+
+def _quadratic_cases():
+    """(experiment, contract, cost, agent prior, target) for the quadratic
+    route at 2 and 3 states: random contracts at Dirichlet priors, some
+    priced from a cost prior apart from the agent's, and optimal contracts
+    for corner targets, whose optimum holds a boundary posterior."""
+    rng = np.random.default_rng(61)
+    cases = []
+    for i in range(40):
+        n = 2 + i % 2
+        prior = random_interior_prior(rng, n)
+        anchor = Belief(rng.dirichlet(np.full(n, 3.0))) if i % 3 == 0 else prior
+        cost = quadratic_cost(anchor, rng.uniform(0.5, 2.0))
+        e = Experiment(random_stochastic(rng, n, 3))
+        cases.append((e, Contract(rng.uniform(0, 2, (3, 3))), cost, prior, None))
+    for _ in range(6):
+        e, target, cost = corner_multiplier_instance(rng)
+        cases.append((e, optimal_contract(e, target, cost).contract, cost, cost.prior, target))
+    while len(cases) < 52:
+        drawn = corner_instance(rng)
+        if drawn is None:
+            continue
+        e, target, cost, _ = drawn
+        report = optimal_contract(e, target, cost)
+        if report.implementable:
+            cases.append((e, report.contract, cost, cost.prior, target))
+    return cases
+
+
+@pytest.mark.parametrize("case", _quadratic_cases())
+def test_quadratic_route_brackets_the_grid_lp(case):
+    e, contract, cost, prior, target = case
+    result = agent_best_response(e, contract, cost, prior, target=target)
+    assert result.route == "quadratic" and result.grid is None and result.n_grid_points == 0
+    lower, upper = result.bracket
+    assert upper == result.optimal_value
+    assert 0.0 <= upper - lower <= oracle.CERTIFICATE_TOL * max(1.0, abs(lower))
+    support = np.array([b.probs for b in result.support_beliefs])
+    weights = result.support_weights
+    assert weights.min() > 0.0
+    np.testing.assert_allclose(weights @ support, prior.probs, rtol=0, atol=1e-12)
+    price = cost.params["scale"] * ((support - cost.prior.probs) ** 2).sum(axis=1)
+    value = float(weights @ ((support @ e.kernel @ contract.payments).max(axis=1) - price))
+    assert abs(value - lower) <= 1e-12 * max(1.0, abs(lower))
+    # Every grid distribution is worth at most the certified bound.  At 3
+    # states the grid also holds the support, which a coarse grid misses.
+    if e.n_states == 2:
+        grid = GridSpec(resolution=2001)
+    else:
+        grid = GridSpec(resolution=101, augment=result.support_beliefs)
+    full = grid_lp_best_response(e, contract, cost, prior, grid=grid, target=target)
+    assert -1e-12 <= upper - full <= 1e-5
+
+
+def test_quadratic_route_verifies_corner_contracts_beyond_three_states():
+    rng = np.random.default_rng(67)
+    for n, corners in ((4, 1), (4, 2), (5, 2)):
+        e, target, cost = full_rank_corner_instance(rng, n, corners)
+        report = optimal_contract(e, target, cost)
+        assert verify_contract(e, target, cost, report.contract)
+        result = agent_best_response(e, report.contract, cost, cost.prior, target=target)
+        assert result.route == "quadratic"
+        assert -1e-9 <= result.gap <= 1e-6
+        with pytest.raises(InputError, match=f"{n} states"):
+            agent_best_response(e, report.contract, grid_priced(cost), cost.prior, target=target)
+
+
+# A 2-state instance whose first restricted LP misses the optimum's vertex
+# posterior, so the route needs a second round.
+TWO_ROUNDS = (Experiment([[0.663, 0.164, 0.173], [0.571, 0.352, 0.077]]),
+              Contract([[2.911, 4.439, 3.429], [3.547, 0.387, 0.006], [0.172, 1.241, 5.918]]),
+              quadratic_cost(Belief([0.269, 0.731]), 0.247), Belief([0.18, 0.82]))
+
+
+def test_quadratic_route_reports_its_lp_work_and_builds_no_grid(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return simplex_grid(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "simplex_grid", counted)
+    result = agent_best_response(*TWO_ROUNDS)
+    assert calls == []
+    payload = result.to_dict()
+    assert payload["route"] == "quadratic" and payload["n_grid_points"] == 0
+    assert payload["pricing_rounds"] == 2
+    assert type(payload["lp_columns"]) is int and payload["lp_columns"] > 0
+    assert any(b.probs.min() == 0.0 for b in result.support_beliefs)
+
+
+def test_quadratic_route_past_its_round_cap_is_a_solver_failure(monkeypatch):
+    monkeypatch.setattr(oracle, "QUADRATIC_ROUNDS", 1)
+    with pytest.raises(SolverFailureError, match="not certified within 1 rounds"):
+        agent_best_response(*TWO_ROUNDS)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from helpers import (
+    direct_min_payment,
     direct_nonnegative_feasible,
     random_binary_experiment,
     random_binary_target,
@@ -25,7 +26,9 @@ from infocontracts import (
     cone_compare,
     entropy_cost,
     k_dominance_sufficient,
+    marginal_cost_matrix,
     optimal_contract,
+    quadratic_cost,
 )
 
 BINARY = Experiment([[0.7, 0.3], [0.3, 0.7]])
@@ -173,6 +176,43 @@ def test_binary_cost_order_predicts_kappa_ordering():
         kappa_f = optimal_contract(f, target, cost).kappa
         assert kappa_e <= kappa_f + 1e-9
         instances += 1
+
+
+def _spreads(e) -> tuple[float, float]:
+    low, high = binary_likelihood_ratios(e)
+    return high - low, 1.0 / low - 1.0 / high
+
+
+def test_binary_cost_order_denial_has_a_witness():
+    # The "only if" half: when one of e's spreads falls at least 10 % short
+    # of f's, some target and cost make e strictly dearer than f.
+    rng = np.random.default_rng(109)
+    pairs = 0
+    while pairs < 20:
+        e = random_binary_experiment(rng, min_det=0.05)
+        f = random_binary_experiment(rng, min_det=0.05)
+        (d_e, r_e), (d_f, r_f) = _spreads(e), _spreads(f)
+        if binary_k_compare(e, f).dominates_weakly or not (d_e <= 0.9 * d_f or r_e <= 0.9 * r_f):
+            continue
+        witness = None
+        for i in range(60):
+            prior = random_interior_prior(rng, 2)
+            cost = entropy_cost(prior) if i % 2 == 0 else quadratic_cost(prior, rng.uniform(0.5, 2))
+            target = random_binary_target(rng, prior)
+            kappa_e = optimal_contract(e, target, cost).kappa
+            kappa_f = optimal_contract(f, target, cost).kappa
+            if kappa_e > kappa_f + 1e-9:
+                witness = target, cost, kappa_e, kappa_f
+                break
+        assert witness is not None, (e.kernel, f.kernel)
+        target, cost, kappa_e, kappa_f = witness
+        nabla = marginal_cost_matrix(cost, target)
+        direct_e = direct_min_payment(e.kernel, target, nabla)
+        direct_f = direct_min_payment(f.kernel, target, nabla)
+        assert direct_e == pytest.approx(kappa_e, rel=1e-8, abs=1e-10)
+        assert direct_f == pytest.approx(kappa_f, rel=1e-8, abs=1e-10)
+        assert direct_e > direct_f + 1e-9
+        pairs += 1
 
 
 def test_cone_compare_fits_one_column_at_a_time(monkeypatch):
