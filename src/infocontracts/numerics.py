@@ -9,7 +9,10 @@ all in standard form: ``min c'x`` subject to ``A x = b`` and ``x >= 0``.
 a fresh solver per call), certifies each optimum by a primal re-check and
 LP duality to ``LP_FEASIBILITY_TOL``, returns an exactly nonnegative ``x``
 and the equality duals, and raises :class:`SolverFailureError` on anything
-else.  Each LP is logged at DEBUG on this module's logger.
+else.  Each LP is logged at DEBUG on this module's logger.  The binding is
+loaded from its file at import, so neither the import nor an LP runs
+``scipy.optimize``'s ``__init__``, most of a cold start; the first
+nonnegative least-squares fit imports it, for ``scipy.optimize.nnls``.
 
 Everything here is pure: inputs are never mutated and calls on distinct
 problem instances are safe to run concurrently.
@@ -18,11 +21,15 @@ problem instances are safe to run concurrently.
 from __future__ import annotations
 
 import logging
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
-from scipy.optimize import OptimizeResult, nnls
-from scipy.optimize._highspy import _core as _highs
+import scipy
 
 from .errors import DimensionMismatchError, InputError, SolverFailureError
 
@@ -37,6 +44,22 @@ LP_FEASIBILITY_TOL = 1e-7
 RESIDUAL_TOL = 1e-9
 
 _log = logging.getLogger(__name__)
+
+
+def _load_highs():
+    """scipy's HiGHS binding, from its file unless already registered."""
+    name = "scipy.optimize._highspy._core"
+    if name not in sys.modules:
+        folder = Path(scipy.__file__).parent / "optimize" / "_highspy"
+        spec = FileFinder(str(folder), (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+        if spec is None:
+            raise ImportError(f"scipy's HiGHS binding is missing from {folder}")
+        spec.loader.exec_module(module := module_from_spec(spec))
+        sys.modules[name] = module
+    return sys.modules[name]
+
+
+_highs = _load_highs()
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -125,7 +148,7 @@ def matrix_rank(a) -> int:
     return _svd(as_matrix(a))[3]
 
 
-def linprog(c, A_eq, b_eq) -> OptimizeResult:
+def linprog(c, A_eq, b_eq) -> SimpleNamespace:
     """``min c @ x`` subject to ``A_eq @ x = b_eq`` and ``x >= 0`` by one
     fresh HiGHS dual-simplex solve: the options and pivots of
     ``scipy.optimize.linprog(..., method="highs")`` without its wrapper.
@@ -149,13 +172,13 @@ def linprog(c, A_eq, b_eq) -> OptimizeResult:
     highs.passModel(lp)
     highs.run()
     status, info = highs.getModelStatus(), highs.getInfo()
-    result = OptimizeResult(status=int(status != _highs.HighsModelStatus.kOptimal),
-                            message=highs.modelStatusToString(status).lower(),
-                            x=None, fun=None, nit=info.simplex_iteration_count)
+    result = SimpleNamespace(status=int(status != _highs.HighsModelStatus.kOptimal),
+                             message=highs.modelStatusToString(status).lower(),
+                             x=None, fun=None, nit=info.simplex_iteration_count)
     if result.status == 0:
         solution = highs.getSolution()
-        result.update(x=np.array(solution.col_value), fun=info.objective_function_value,
-                      eqlin=OptimizeResult(marginals=np.array(solution.row_dual)))
+        result.x, result.fun = np.array(solution.col_value), info.objective_function_value
+        result.eqlin = SimpleNamespace(marginals=np.array(solution.row_dual))
     return result
 
 
@@ -179,7 +202,7 @@ def solve_lp(c, a_eq, b_eq) -> tuple[np.ndarray, np.ndarray]:
     res = linprog(c, A_eq=a_eq, b_eq=b_eq)
     if res.status != 0:
         _log.debug("LP %dx%d: %s after %s simplex iterations",
-                   *a_eq.shape, res.message, res.get("nit"))
+                   *a_eq.shape, res.message, res.nit)
         raise SolverFailureError(res.message)
     x, y = np.asarray(res.x, dtype=float), np.asarray(res.eqlin.marginals, dtype=float)
     objective = float(c @ x)
@@ -195,6 +218,12 @@ def solve_lp(c, a_eq, b_eq) -> tuple[np.ndarray, np.ndarray]:
         raise SolverFailureError(
             f"solution failed dual verification (reduced cost={reduced:.3e}, gap={gap:.3e})")
     return np.maximum(x, 0.0), y
+
+
+def nnls(a, b):
+    """``scipy.optimize.nnls(a, b)``, imported on the first fit."""
+    from scipy.optimize import nnls as lawson_hanson
+    return lawson_hanson(a, b)
 
 
 def nonnegative_fit(a, b) -> tuple[np.ndarray, float]:

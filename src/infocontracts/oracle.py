@@ -95,7 +95,10 @@ NEWTON_MIN_STEP = 1e-3
 DROP_TOL = 1e-13
 MIN_STEP = 1e-10
 ARMIJO = 1e-4
-# verify_contract passes a target within VERIFY_TOL of the agent's optimum.
+# verify_contract passes a target within VERIFY_TOL * max(1, spread) of the
+# agent's optimum, where spread is the widest range across reports of a
+# state's expected payment: it scales with the incentives, and neither a
+# report-independent bonus nor side bets move it.
 VERIFY_TOL = 1e-5
 
 
@@ -641,11 +644,13 @@ def agent_best_response(e_p: Experiment, t: Contract, cost: PosteriorCost,
 def verify_contract(e_p: Experiment, target: PosteriorDistribution,
                     cost: PosteriorCost, t: Contract,
                     grid: GridSpec | None = None) -> bool:
-    """True iff the prescribed target comes within ``VERIFY_TOL`` of the
-    agent's optimum under the contract (honest reports at its own
-    posteriors).
+    """True iff the prescribed target comes within ``VERIFY_TOL`` times
+    ``max(1, spread)`` of the agent's optimum under the contract (honest
+    reports at its own posteriors), where ``spread`` is the largest range
+    across reports of a row of ``kernel @ payments``.
 
     Under an entropy or quadratic cost the optimum is the certified upper
     bound, so a pass is sound; on the grid route it is the grid optimum."""
     result = agent_best_response(e_p, t, cost, prior=cost.prior, grid=grid, target=target)
-    return bool(result.gap <= VERIFY_TOL)
+    spread = float(np.ptp(e_p.kernel @ t.payments, axis=1).max())
+    return bool(result.gap <= VERIFY_TOL * max(1.0, spread))

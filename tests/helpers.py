@@ -9,9 +9,10 @@ so agreement is a genuine two-route check.
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
-from scipy.optimize import OptimizeResult, linprog
+from scipy.optimize import linprog
 
 from infocontracts import Belief, Experiment, PosteriorDistribution, entropy_cost
 
@@ -69,7 +70,7 @@ def stalled_linprog(*args, **kwargs):
     """Stand-in for ``numerics.linprog``, the library's direct HiGHS call,
     that stops without an answer, as HiGHS does when it hits an iteration
     limit."""
-    return OptimizeResult(status=1, message="stalled", x=None, fun=None, success=False)
+    return SimpleNamespace(status=1, message="stalled", x=None, fun=None, nit=0)
 
 
 def random_stochastic(rng, n, m) -> np.ndarray:
@@ -173,7 +174,9 @@ def grid_search_corner_verdict(e, target, cost, zero_state, n_grid=2001):
 
 def direct_min_payment(kernel, target, nabla) -> float:
     """Cheapest limited-liability expected payment, by one LP posed straight
-    to scipy.
+    to scipy at 1e-10 primal and dual feasibility tolerances, whose point
+    must meet the equality constraints to 1e-9 of the right-hand side's
+    scale.
 
     Variables: payments T >= 0 (M x K, column by column), a free multiplier
     lambda (N), and eta >= 0 on the cells a posterior rules out.
@@ -193,9 +196,13 @@ def direct_min_payment(kernel, target, nabla) -> float:
     c = np.concatenate([((posts * target.weights).T @ kernel).reshape(-1),
                         np.zeros(n + int(free.sum()))])
     bounds = [(0, None)] * (m * k) + [(None, None)] * n + [(0, None)] * int(free.sum())
-    res = linprog(c, A_eq=a_eq, b_eq=np.asarray(nabla).flatten(order="F"),
-                  bounds=bounds, method="highs")
+    b_eq = np.asarray(nabla, dtype=float).flatten(order="F")
+    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
     assert res.status == 0, res.message
+    residual = np.abs(a_eq @ res.x - b_eq).max()
+    assert residual <= 1e-9 * max(1.0, np.abs(b_eq).max()), residual
     return float(res.fun)
 
 

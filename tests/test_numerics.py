@@ -1,4 +1,9 @@
+import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -328,3 +333,102 @@ def test_only_a_null_basis_builds_full_factors(monkeypatch):
         assert shapes[0] == (reduced if rows > cols else ((rows, rows), (cols, cols)))
         assert result.null_basis.shape == (cols, cols - 2)
         np.testing.assert_allclose(a @ result.null_basis, 0.0, atol=1e-9)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Runs here and in a fresh interpreter: one payment LP on a kernel with a null
+# space, a quadratic-cost oracle call and an LP-bearing `contract --verify`.
+COLD_PATHS = """
+import json
+from click.testing import CliRunner
+import infocontracts.cli
+from infocontracts import (Belief, Experiment, PosteriorDistribution, agent_best_response,
+                           optimal_contract, quadratic_cost)
+
+
+def cold_paths(workdir):
+    inputs = {"experiment": {"kernel": [[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]]},
+              "target": {"posteriors": [[0.7, 0.3], [0.3, 0.7]], "weights": [0.5, 0.5]},
+              "cost": {"kind": "quadratic", "prior": [0.5, 0.5]}}
+    side_bets = Experiment(inputs["experiment"]["kernel"])
+    target = PosteriorDistribution(inputs["target"]["posteriors"], inputs["target"]["weights"])
+    cost = quadratic_cost(Belief(inputs["cost"]["prior"]))
+    report = optimal_contract(side_bets, target, cost)
+    result = agent_best_response(side_bets, report.contract, cost, cost.prior, target=target)
+    args = ["contract", "--verify"]
+    for option, payload in inputs.items():
+        path = f"{workdir}/{option}.json"
+        with open(path, "w") as handle:
+            json.dump(payload, handle)
+        args += [f"--{option}", path]
+    verified = CliRunner().invoke(infocontracts.cli.main, args)
+    return {
+        "kappa": report.kappa.hex(),
+        "payments": [x.hex() for x in report.contract.payments.ravel().tolist()],
+        "optimal_value": result.optimal_value.hex(),
+        "support": [x.hex() for b in result.support_beliefs for x in b.probs.tolist()]
+        + [x.hex() for x in result.support_weights.tolist()],
+        "verify": [verified.exit_code, verified.output],
+    }
+"""
+
+
+def _fresh_python(script: str, *args: str) -> str:
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_cold_paths_never_import_scipy_optimize(tmp_path):
+    # numerics loads scipy's HiGHS binding from its file, so neither the
+    # import nor an LP runs scipy.optimize's __init__; the answers are the
+    # same bits as in this process, where scipy.optimize is loaded.
+    script = COLD_PATHS + (
+        "import sys\nprint(json.dumps([cold_paths(sys.argv[1]), 'scipy.optimize' in sys.modules]))")
+    fresh, loaded = json.loads(_fresh_python(script, str(tmp_path)))
+    assert loaded is False
+    namespace = {}
+    exec(COLD_PATHS, namespace)
+    assert fresh == namespace["cold_paths"](tmp_path)
+    exit_code, output = fresh["verify"]
+    assert exit_code == 0 and abs(json.loads(output)["oracle_gap"]) <= 1e-9
+
+
+BOTH_ORDERS = """
+import gc
+import sys
+import types
+for name in sys.argv[1:]:
+    __import__(name)
+import scipy.optimize
+from infocontracts import numerics
+core = "scipy.optimize._highspy._core"
+cores = [m for m in gc.get_objects() if isinstance(m, types.ModuleType) and m.__name__ == core]
+assert len(cores) == 1 and cores[0] is numerics._highs is sys.modules[core], cores
+res = scipy.optimize.linprog([1.0, 2.0], A_eq=[[1.0, 1.0]], b_eq=[1.0], method="highs")
+assert res.status == 0 and res.x.tolist() == [1.0, 0.0], res
+x, y = numerics.solve_lp([1.0, 2.0], [[1.0, 1.0]], [1.0])
+assert x.tolist() == [1.0, 0.0] and y.tolist() == [1.0], (x, y)
+"""
+
+
+@pytest.mark.parametrize("order", [("infocontracts.numerics", "scipy.optimize"),
+                                   ("scipy.optimize", "infocontracts.numerics")])
+def test_one_highs_binding_in_either_import_order(order):
+    _fresh_python(BOTH_ORDERS, *order)
+
+
+def test_a_missing_highs_binding_is_an_import_error_naming_its_folder(tmp_path):
+    script = f"""
+import scipy
+scipy.__file__ = {str(tmp_path / "scipy" / "__init__.py")!r}
+try:
+    import infocontracts
+except ImportError as exc:
+    print(exc)
+"""
+    assert _fresh_python(script).strip() == (
+        f"scipy's HiGHS binding is missing from {tmp_path / 'scipy' / 'optimize' / '_highspy'}")

@@ -110,6 +110,54 @@ def test_perturbed_binding_cell_breaks_optimality(binary_instance):
     assert not verify_contract(BINARY, target, cost, perturbed)
 
 
+def _large_quadratic_instance():
+    """Well-conditioned 3x3 kernel (singular values 1, 0.6, 0.4), a target,
+    another target off the agent's optimum under the target's contracts, and
+    a quadratic cost at scale 1e7, so payments and the agent's values are ~1e7."""
+    e = Experiment([[0.7, 0.2, 0.1], [0.2, 0.6, 0.2], [0.1, 0.2, 0.7]])
+    prior = Belief([0.3, 0.3, 0.4])
+    target = posteriors(Experiment([[0.6, 0.3, 0.1], [0.2, 0.6, 0.2], [0.1, 0.3, 0.6]]), prior)
+    other = posteriors(Experiment([[0.55, 0.3, 0.15], [0.2, 0.6, 0.2], [0.1, 0.3, 0.6]]), prior)
+    return e, prior, target, other, quadratic_cost(prior, scale=1e7)
+
+
+def _spread(e, contract):
+    return np.ptp(e.kernel @ contract.payments, axis=1).max()
+
+
+def test_verify_tolerance_scales_with_the_incentives():
+    # Payments rounded to 6 significant digits leave the target 5e-12 of
+    # the payments' spread under the agent's optimum at any scale; at 1e7
+    # that is 6e-5 in absolute terms, which an absolute 1e-5 test would reject.
+    e, prior, target, _, cost = _large_quadratic_instance()
+    payments = optimal_contract(e, target, cost).contract.payments
+    rounded = Contract(np.vectorize(lambda x: float(f"{x:.6g}"))(payments))
+    result = agent_best_response(e, rounded, cost, prior, target=target)
+    assert result.route == "quadratic"
+    assert oracle.VERIFY_TOL < result.gap <= 1e-11 * _spread(e, rounded)
+    assert verify_contract(e, target, cost, rounded)
+
+
+def test_verify_still_rejects_a_target_off_the_optimum_at_a_large_scale():
+    e, prior, target, other, cost = _large_quadratic_instance()
+    contract = optimal_contract(e, target, cost).contract
+    result = agent_best_response(e, contract, cost, prior, target=other)
+    assert result.gap > 1e-4 * _spread(e, contract)
+    assert not verify_contract(e, other, cost, contract)
+
+
+def test_a_large_realization_bonus_does_not_widen_the_verify_tolerance():
+    # A bonus z adds the same mu0 . (kernel @ z) ~ 1e6 to the optimum and
+    # to every target's value, so the gaps stay ~1e-3 at scale 1.
+    e, prior, target, other, _ = _large_quadratic_instance()
+    cost = quadratic_cost(prior, scale=1.0)
+    member = synthesize_family(e, target, cost).member(z=np.full(3, 1e6))
+    result = agent_best_response(e, member, cost, prior, target=other)
+    assert result.optimal_value > 1e6 and 1e-4 < result.gap < 1e-2
+    assert verify_contract(e, target, cost, member)
+    assert not verify_contract(e, other, cost, member)
+
+
 def test_family_members_verify_globally(binary_instance):
     prior, cost, target = binary_instance
     family = synthesize_family(BINARY, target, cost)
