@@ -32,7 +32,8 @@ from .experiments import (
     PosteriorDistribution,
     experiment_from_posteriors,
 )
-from .implementability import ImplementabilityReport, check_implementable, difference_operator
+from .implementability import (ImplementabilityReport, check_implementable, difference_kron,
+                              difference_operator)
 from .numerics import PseudoInverse, solve_lp
 from .orders import binary_likelihood_ratios
 
@@ -278,16 +279,17 @@ def _min_payment_lp(kernel, target, nabla, free) -> tuple[np.ndarray, np.ndarray
     free multiplier ``lambda`` is eliminated by the column-difference
     operator ``D`` of :func:`difference_operator`:
     ``kron(D', kernel) vec(T) + kron(D', I) vec(eta) = vec(nabla @ D)`` with
-    ``T`` and ``eta`` flattened column by column.  Returns ``T`` and the
+    ``T`` and ``eta`` flattened column by column, both ``kron`` blocks
+    assembled by :func:`difference_kron`.  Returns ``T`` and the
     effective marginal costs ``nabla - eta``.  Needs at least two reports."""
     (n, m), k = kernel.shape, nabla.shape[1]
     d = difference_operator(k)
     free = free.flatten(order="F")
     weighted = target.posterior_matrix() * target.weights
+    a_eq = np.hstack([difference_kron(kernel, k), difference_kron(np.eye(n), k)[:, free]])
     try:
         x, _ = solve_lp(np.concatenate([(weighted.T @ kernel).reshape(-1), np.zeros(free.sum())]),
-                        np.hstack([np.kron(d.T, kernel), np.kron(d.T, np.eye(n))[:, free]]),
-                        (nabla @ d).flatten(order="F"))
+                        a_eq, (nabla @ d).flatten(order="F"))
     except SolverFailureError as exc:
         raise SolverFailureError(f"cost-minimization LP did not resolve: {exc}") from exc
     eta = np.zeros(n * k)

@@ -111,6 +111,18 @@ def difference_operator(k: int) -> np.ndarray:
     return np.vstack([np.eye(k - 1), -np.ones((1, k - 1))])
 
 
+def difference_kron(block: np.ndarray, k: int) -> np.ndarray:
+    """``kron(D', block)`` for the ``D`` of :func:`difference_operator`,
+    assembled block by block: block row ``i < k - 1`` holds ``block`` in
+    block column ``i``, ``-block`` in the last and zeros elsewhere."""
+    rows, cols = block.shape
+    out = np.zeros((k - 1, rows, k, cols))
+    steps = np.arange(k - 1)
+    out[steps, :, steps, :] = block
+    out[:, :, -1, :] = -block
+    return out.reshape((k - 1) * rows, k * cols)
+
+
 def _lambda_from(nabla: np.ndarray, projector: np.ndarray) -> np.ndarray:
     # Multiplier of the canonical member of the contract family (free term
     # zero): minus the out-of-column-space component, averaged over columns.
@@ -175,7 +187,7 @@ def check_implementable(e_p: Experiment, target: PosteriorDistribution,
         # vec(C @ (diffs - eta @ D)) = vec(C @ diffs) - kron(D', C) vec(eta),
         # with C = I - P the projector off Col(kernel).
         complement = np.eye(n) - projector
-        eta[free] = nonnegative_fit(np.kron(d.T, complement)[:, free],
+        eta[free] = nonnegative_fit(difference_kron(complement, k)[:, free],
                                     (complement @ diffs).flatten(order="F"))[0]
     eta = eta.reshape((n, k), order="F")
     adjusted = nabla - eta

@@ -5,23 +5,26 @@ Every nonnegative-feasibility question (is there ``x >= 0`` with
 ``A x = b``?) is answered by :func:`nonnegative_fit` and decided by its
 residual.  HiGHS is kept for the LPs that optimize an objective, which are
 all in standard form: ``min c'x`` subject to ``A x = b`` and ``x >= 0``.
-:func:`solve_lp` calls scipy's bundled HiGHS binding directly (dual simplex,
-a fresh solver per call), certifies each optimum by a primal re-check and
-LP duality to ``LP_FEASIBILITY_TOL``, returns an exactly nonnegative ``x``
-and the equality duals, and raises :class:`SolverFailureError` on anything
-else.  Each LP is logged at DEBUG on this module's logger.  The binding is
-loaded from its file at import, so neither the import nor an LP runs
+:func:`solve_lp` calls scipy's bundled HiGHS binding directly (dual simplex
+without presolve, on one solver per thread that is cleared before each LP),
+certifies each optimum by a primal re-check and LP duality to
+``LP_FEASIBILITY_TOL``, returns an exactly nonnegative ``x`` and the
+equality duals, and raises :class:`SolverFailureError` on anything else.
+Each LP is logged at DEBUG on this module's logger.  The binding is loaded
+from its file at import, so neither the import nor an LP runs
 ``scipy.optimize``'s ``__init__``, most of a cold start; the first
 nonnegative least-squares fit imports it, for ``scipy.optimize.nnls``.
 
 Everything here is pure: inputs are never mutated and calls on distinct
-problem instances are safe to run concurrently.
+problem instances are safe to run concurrently; the only state is each
+thread's own HiGHS solver, which holds nothing from one LP to the next.
 """
 
 from __future__ import annotations
 
 import logging
 import sys
+import threading
 from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from importlib.util import module_from_spec
@@ -60,6 +63,7 @@ def _load_highs():
 
 
 _highs = _load_highs()
+_local = threading.local()
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -148,27 +152,42 @@ def matrix_rank(a) -> int:
     return _svd(as_matrix(a))[3]
 
 
+def _solver():
+    """This thread's HiGHS solver, made on the thread's first LP with its
+    options: no output, dual simplex, no presolve."""
+    highs = getattr(_local, "highs", None)
+    if highs is None:
+        highs = _local.highs = _highs._Highs()
+        highs.setOptionValue("output_flag", False)
+        highs.setOptionValue("simplex_strategy", 1)
+        highs.setOptionValue("presolve", "off")
+    return highs
+
+
 def linprog(c, A_eq, b_eq) -> SimpleNamespace:
     """``min c @ x`` subject to ``A_eq @ x = b_eq`` and ``x >= 0`` by one
-    fresh HiGHS dual-simplex solve: the options and pivots of
-    ``scipy.optimize.linprog(..., method="highs")`` without its wrapper.
+    HiGHS dual-simplex solve without presolve: the options and pivots of
+    ``scipy.optimize.linprog(..., method="highs-ds", options={"presolve":
+    False})`` without its wrapper.  Each thread keeps one solver and clears
+    its model, basis and solution before each LP, so no call sees another.
     It keeps ``linprog``'s name, keywords and result fields because the
     benchmark tracer and the tests patch this seam.  ``status`` is 0 on an
     optimum, else 1 with HiGHS's model status in lower case as ``message``.
     """
-    (m, n), at = A_eq.shape, A_eq.T
+    m, n = A_eq.shape
     lp = _highs.HighsLp()
     lp.num_col_, lp.num_row_ = n, m
-    lp.col_cost_, lp.col_lower_, lp.col_upper_ = c, np.zeros(n), np.full(n, np.inf)
-    lp.row_lower_ = lp.row_upper_ = b_eq
-    cols, rows = np.nonzero(at)  # column-major order: compressed sparse columns
+    # Python lists, not arrays: the binding copies a list several times
+    # faster than it iterates an array's scalars.
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = c.tolist(), [0.0] * n, [np.inf] * n
+    lp.row_lower_ = lp.row_upper_ = b_eq.tolist()
+    # Every entry, column by column; HiGHS drops the zeros itself.
     matrix = lp.a_matrix_
     matrix.format_, matrix.num_col_, matrix.num_row_ = _highs.MatrixFormat.kColwise, n, m
-    matrix.start_ = np.searchsorted(cols, np.arange(n + 1)).astype(np.int32)
-    matrix.index_, matrix.value_ = rows.astype(np.int32), at[cols, rows]
-    highs = _highs._Highs()
-    highs.setOptionValue("output_flag", False)
-    highs.setOptionValue("simplex_strategy", 1)
+    matrix.start_, matrix.index_ = range(0, m * n + 1, m), list(range(m)) * n
+    matrix.value_ = A_eq.T.ravel().tolist()
+    highs = _solver()
+    highs.clearModel()
     highs.passModel(lp)
     highs.run()
     status, info = highs.getModelStatus(), highs.getInfo()
@@ -188,8 +207,9 @@ def solve_lp(c, a_eq, b_eq) -> tuple[np.ndarray, np.ndarray]:
 
     Raises :class:`SolverFailureError`, with HiGHS's message, unless HiGHS
     reports an optimum that passes a re-check at ``tol = LP_FEASIBILITY_TOL``:
-    the equality residual, ``min(x) >= -tol``, agreement between ``c @ x``
-    and the reported objective, and the dual certificate, reduced costs
+    the equality residual ``max|a_eq @ x - b_eq| <= tol * max(1, max|b_eq|)``,
+    ``min(x) >= -tol``, agreement between ``c @ x`` and the reported
+    objective, and the dual certificate, reduced costs
     ``c - a_eq' y >= -tol * max(1, max|c|)`` and a duality gap
     ``|c'x - b'y| <= tol * max(1, |c'x|)``.  The returned ``x`` is then
     clipped at zero, so it is exactly nonnegative.
@@ -210,7 +230,11 @@ def solve_lp(c, a_eq, b_eq) -> tuple[np.ndarray, np.ndarray]:
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("LP %dx%d: %s after %d simplex iterations, duality gap %.3e",
                    *a_eq.shape, res.message, res.nit, gap)
-    violation = max(float(np.max(np.abs(a_eq @ x - b_eq))), -float(x.min()))
+    # The residual is relative to the right-hand side: rounding alone leaves
+    # ~1e-16 of it, which at a payment LP's marginal costs of 1e10 exceeds
+    # an absolute tolerance.
+    residual = float(np.max(np.abs(a_eq @ x - b_eq))) / max(1.0, float(np.max(np.abs(b_eq))))
+    violation = max(residual, -float(x.min()))
     if violation > LP_FEASIBILITY_TOL or abs(objective - res.fun) > scale:
         raise SolverFailureError(f"solution failed verification (violation={violation:.3e})")
     reduced = float(np.min(c - a_eq.T @ y))

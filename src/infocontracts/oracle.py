@@ -212,15 +212,21 @@ class _Envelope(NamedTuple):
 def _restricted_lp(points: np.ndarray, values: np.ndarray, prior: np.ndarray):
     """Weights ``w >= 0`` maximizing ``values @ w`` with ``points.T @ w =
     prior`` and ``sum(w) = 1``, and the dual plane: ``[belief, 1] @ plane``
-    lies above every value in ``values``."""
+    lies above every value in ``values``.  Since ``sum(w) = 1``, the LP is
+    posed with the costs ``shift - values >= 0``, ``shift = max(values)``:
+    HiGHS fails on costs near 1e9, which a large bonus gives the values."""
     lifted = np.column_stack([points, np.ones(points.shape[0])])
+    shift = float(values.max())
     try:
-        weights, duals = solve_lp(-values, lifted.T, np.append(prior, 1.0))
+        weights, duals = solve_lp(shift - values, lifted.T, np.append(prior, 1.0))
     except SolverFailureError as exc:
         raise SolverFailureError(f"best-response LP did not resolve: {exc}") from exc
-    # HiGHS's equality marginals y satisfy values + lifted @ y <= 0, so -y
-    # is the plane the values lie under.
-    return weights, -duals
+    # HiGHS's equality marginals y satisfy shift - values - lifted @ y >= 0,
+    # and lifted's last column is ones, so -y with shift added to its
+    # constant term is the plane the values lie under.
+    plane = -duals
+    plane[-1] += shift
+    return weights, plane
 
 
 def _concavify(points: np.ndarray, values: np.ndarray, prior: np.ndarray,

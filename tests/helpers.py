@@ -16,6 +16,11 @@ from scipy.optimize import linprog
 
 from infocontracts import Belief, Experiment, PosteriorDistribution, entropy_cost
 
+# The 2x3 kernel with a side bet (a null direction of the kernel) and a
+# symmetric binary target: one payment LP and one restricted oracle LP.
+SIDE_BETS = (Experiment([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]]),
+             PosteriorDistribution([[0.7, 0.3], [0.3, 0.7]], [0.5, 0.5]))
+
 
 def exact_rank(matrix) -> int:
     """Row-reduction rank over the rationals (exact for integer input)."""

@@ -14,6 +14,7 @@ from infocontracts import (
     check_implementable,
     entropy_cost,
     optimal_contract,
+    quadratic_cost,
 )
 from infocontracts.cli import main
 from infocontracts.oracle import CERTIFICATE_TOL
@@ -342,6 +343,28 @@ def test_solver_failures_exit_4_without_a_traceback(runner, tmp_path, monkeypatc
         result = runner.invoke(main, args)
         assert result.exit_code == 4, result.output
         assert "solver failure" in result.output and "stalled" in result.output
+
+
+@pytest.mark.parametrize("scale", [1e10, 1e11])
+def test_contract_verify_resolves_side_bets_at_large_cost_scales(runner, tmp_path, scale):
+    # At 1e10 the payment LP's residual is ~1e-16 of its right-hand side,
+    # and at 1e11 the agent's values reach ~1e11; both LPs resolve.
+    side_bets = {"kernel": [[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]]}
+    result = runner.invoke(main, [
+        "contract", "--verify",
+        "--experiment", write(tmp_path, "e.json", side_bets),
+        "--target", write(tmp_path, "t.json", BINARY_TARGET),
+        "--cost", write(tmp_path, "c.json", {**QUADRATIC2, "scale": scale}),
+    ])
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.output)
+    report = optimal_contract(
+        Experiment(side_bets["kernel"]),
+        PosteriorDistribution(BINARY_TARGET["posteriors"], BINARY_TARGET["weights"]),
+        quadratic_cost(Belief([0.5, 0.5]), scale=scale),
+    )
+    assert payload["kappa"] == report.kappa
+    assert 0.0 <= payload["oracle_gap"] <= 1e-12 * payload["oracle_optimal_value"]
 
 
 def test_contract_verify_with_a_too_coarse_grid_exits_2(runner, tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from helpers import (
+    SIDE_BETS,
     corner_multiplier_instance,
     direct_min_payment,
     equal_rows_instance,
@@ -458,6 +459,42 @@ def test_roundoff_negative_payment_is_a_solver_failure(monkeypatch):
     monkeypatch.setattr(numerics, "linprog", stalled_linprog)
     with pytest.raises(SolverFailureError, match="did not resolve: stalled"):
         optimal_contract(e, target, cost)
+
+
+def test_payment_lp_resolves_at_a_cost_scale_of_1e10():
+    # The payment LP's right-hand side is the marginal-cost differences,
+    # ~1e10 here.  Rounding leaves an equality residual of 1.9e-6, about
+    # 1e-16 of that, which an absolute 1e-7 test rejected.
+    e, target = SIDE_BETS
+    cost = quadratic_cost(Belief([0.5, 0.5]), scale=1e10)
+    report = optimal_contract(e, target, cost)
+    optimum = direct_min_payment(e.kernel, target, marginal_cost_matrix(cost, target))
+    assert report.kappa == pytest.approx(optimum, rel=1e-8)
+
+
+def test_a_payment_lp_residual_of_1e_6_of_its_scale_is_rejected(monkeypatch):
+    # The residual test is relative to the right-hand side, not switched
+    # off: a payment moved so that one equality misses by 1e-6 of max|b|
+    # fails it, with the objective kept consistent with the moved point.
+    from infocontracts import numerics
+
+    e, target = SIDE_BETS
+    cost = quadratic_cost(Belief([0.5, 0.5]), scale=1e10)
+    real, violations = numerics.linprog, []
+
+    def moved(c, A_eq, b_eq):
+        res = real(c, A_eq=A_eq, b_eq=b_eq)
+        res.x = res.x.copy()
+        entry = int(np.argmax(res.x))
+        res.x[entry] += 1e-6 * np.abs(b_eq).max() / np.abs(A_eq[:, entry]).max()
+        res.fun = float(c @ res.x)
+        violations.append(np.abs(A_eq @ res.x - b_eq).max() / np.abs(b_eq).max())
+        return res
+
+    monkeypatch.setattr(numerics, "linprog", moved)
+    with pytest.raises(SolverFailureError, match=r"solution failed verification \(violation="):
+        optimal_contract(e, target, cost)
+    assert violations == [pytest.approx(1e-6, rel=1e-6)]
 
 
 def test_optimal_contract_factors_the_kernel_once(monkeypatch):

@@ -3,6 +3,7 @@ import logging
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -190,14 +191,14 @@ def _unbounded_standard_form(rng):
     return c, a, a @ rng.dirichlet(np.ones(n))
 
 
-def _oracle_shaped(rng):
-    """The grid oracle's restricted LP: mixture weights over belief points
-    (the simplex's vertices and random interior points) averaging to the
-    prior, maximizing a random net value."""
-    points = np.vstack([np.eye(3), rng.dirichlet(np.ones(3), size=37)])
+def _oracle_shaped(rng, size=40):
+    """The grid oracle's restricted LP: mixture weights over ``size`` belief
+    points (the simplex's vertices and random interior points) averaging to
+    the prior, maximizing a random net value."""
+    points = np.vstack([np.eye(3), rng.dirichlet(np.ones(3), size=size - 3)])
     prior = rng.dirichlet(np.ones(3) * 3.0)
-    values = rng.normal(size=40) - (points ** 2).sum(axis=1)
-    return -values, np.column_stack([points, np.ones(40)]).T, np.append(prior, 1.0)
+    values = rng.normal(size=size) - (points ** 2).sum(axis=1)
+    return -values, np.column_stack([points, np.ones(size)]).T, np.append(prior, 1.0)
 
 
 def test_lp_agrees_with_vertex_enumeration():
@@ -235,8 +236,10 @@ def test_lp_duals_certify_the_optimum():
 
 def test_direct_highs_call_matches_scipy_linprog():
     # numerics.linprog poses the LP to HiGHS itself; scipy's public linprog
-    # is the independent reference.  Same options, so the same pivots: the
-    # answers agree to the last bit, and failures stay failures.
+    # is the independent reference.  Same options (dual simplex, presolve
+    # off), so the same pivots: the answers agree to the last bit, and
+    # failures stay failures.  The LPs run one after another on this
+    # thread's reused solver, so this also shows that nothing carries over.
     rng = np.random.default_rng(41)
     feasible = [_bounded_standard_form(rng) for _ in range(60)] + [
         _oracle_shaped(rng) for _ in range(20)]
@@ -245,7 +248,8 @@ def test_direct_highs_call_matches_scipy_linprog():
     compared = failed = 0
     for c, a, b in feasible + failing:
         ours = numerics.linprog(c, A_eq=a, b_eq=b)
-        reference = scipy.optimize.linprog(c, A_eq=a, b_eq=b, bounds=(0, None), method="highs")
+        reference = scipy.optimize.linprog(c, A_eq=a, b_eq=b, bounds=(0, None),
+                                           method="highs-ds", options={"presolve": False})
         assert (ours.status == 0) == (reference.status == 0), (ours.message, reference.message)
         if reference.status != 0:
             failed += 1
@@ -255,6 +259,67 @@ def test_direct_highs_call_matches_scipy_linprog():
         assert ours.fun == reference.fun and ours.nit == reference.nit
         compared += 1
     assert compared >= 80 and failed >= 30
+
+
+def _answer(res) -> tuple:
+    """Every field of a ``linprog`` result, arrays as their bytes."""
+    solved = res.status == 0
+    return (res.status, res.message, res.nit, res.fun, solved and res.x.tobytes(),
+            solved and res.eqlin.marginals.tobytes())
+
+
+def _solve_all(problems) -> list:
+    return [_answer(numerics.linprog(c, A_eq=a, b_eq=b)) for c, a, b in problems]
+
+
+def _on_new_threads(*jobs) -> list:
+    """Run each job on a thread of its own, all at once, switching threads
+    every microsecond; their results."""
+    results = [None] * len(jobs)
+
+    def run(i):
+        results[i] = jobs[i]()
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    return results
+
+
+def test_a_reused_solver_carries_nothing_from_one_lp_to_the_next():
+    # Each thread keeps one HiGHS solver.  On a new thread the first LP
+    # meets a new solver; solved again after an infeasible, an unbounded and
+    # a larger LP on that solver, it gets the same point, duals, objective
+    # and iteration count to the last bit.
+    rng = np.random.default_rng(53)
+    first = _oracle_shaped(rng)
+    infeasible = (np.zeros(1), np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]))
+    sequence = [first, infeasible, _unbounded_standard_form(rng), _oracle_shaped(rng, 400), first]
+    (answers,) = _on_new_threads(lambda: _solve_all(sequence))
+    assert [a[0] for a in answers] == [0, 1, 1, 0, 0]
+    assert "infeasible" in answers[1][1] and "unbounded" in answers[2][1]
+    assert answers[0][2] > 0 and answers[3][2] > 0
+    assert answers[-1] == answers[0]
+
+
+def test_lps_on_two_threads_match_the_same_lps_in_series():
+    rng = np.random.default_rng(59)
+    problems = [_bounded_standard_form(rng, feasible=i % 3 != 0) for i in range(30)]
+    problems += [_oracle_shaped(rng) for _ in range(10)] + [
+        _unbounded_standard_form(rng) for _ in range(5)]
+    serial = _solve_all(problems)
+    evens, odds = _on_new_threads(lambda: _solve_all(problems[0::2] * 4),
+                                  lambda: _solve_all(problems[1::2] * 4))
+    assert evens == serial[0::2] * 4 and odds == serial[1::2] * 4
+    assert {a[0] for a in serial} == {0, 1}
 
 
 def test_perturbed_duals_fail_the_dual_certificate(monkeypatch):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from helpers import (
+    SIDE_BETS,
     corner_instance,
     corner_multiplier_instance,
     equal_rows_instance,
@@ -618,9 +619,10 @@ def _quadratic_cases():
     return cases
 
 
-@pytest.mark.parametrize("case", _quadratic_cases())
-def test_quadratic_route_brackets_the_grid_lp(case):
-    e, contract, cost, prior, target = case
+def _certified_quadratic_response(e, contract, cost, prior, target):
+    """The quadratic route's answer, checked against itself: a certified
+    bracket, and a support that averages to the prior and is worth its lower
+    end when the agent's value is recomputed here."""
     result = agent_best_response(e, contract, cost, prior, target=target)
     assert result.route == "quadratic" and result.grid is None and result.n_grid_points == 0
     lower, upper = result.bracket
@@ -633,6 +635,14 @@ def test_quadratic_route_brackets_the_grid_lp(case):
     price = cost.params["scale"] * ((support - cost.prior.probs) ** 2).sum(axis=1)
     value = float(weights @ ((support @ e.kernel @ contract.payments).max(axis=1) - price))
     assert abs(value - lower) <= 1e-12 * max(1.0, abs(lower))
+    return result
+
+
+@pytest.mark.parametrize("case", _quadratic_cases())
+def test_quadratic_route_brackets_the_grid_lp(case):
+    e, contract, cost, prior, target = case
+    result = _certified_quadratic_response(e, contract, cost, prior, target)
+    upper = result.optimal_value
     # Every grid distribution is worth at most the certified bound.  At 3
     # states the grid also holds the support, which a coarse grid misses.
     if e.n_states == 2:
@@ -641,6 +651,59 @@ def test_quadratic_route_brackets_the_grid_lp(case):
         grid = GridSpec(resolution=101, augment=result.support_beliefs)
     full = grid_lp_best_response(e, contract, cost, prior, grid=grid, target=target)
     assert -1e-12 <= upper - full <= 1e-5
+
+
+def _two_state_chords(e, contract, cost, prior) -> float:
+    """The best chord of the agent's net value through the prior between two
+    beliefs of a 2001-point grid on either side of it: a lower bound on the
+    optimum that needs no LP."""
+    p = np.linspace(0.0, 1.0, 2001)
+    beliefs = np.column_stack([p, 1.0 - p])
+    price = cost.params["scale"] * ((beliefs - cost.prior.probs) ** 2).sum(axis=1)
+    value = (beliefs @ e.kernel @ contract.payments).max(axis=1) - price
+    p0 = prior.probs[0]
+    left, right = p < p0, p > p0
+    toward_right = (p0 - p[left][:, None]) / (p[right][None, :] - p[left][:, None])
+    return float(((1.0 - toward_right) * value[left][:, None]
+                  + toward_right * value[right][None, :]).max())
+
+
+@pytest.mark.parametrize("scale, bonus", [(1e11, 0.0), (1e6, 1e11)])
+def test_quadratic_route_certifies_agent_values_near_1e11(scale, bonus):
+    # The optimal side-bets contract at cost scale 1e11, and at scale 1e6
+    # with a report-independent bonus of 1e11: the agent's net values reach
+    # ~1e11, where the restricted LP posed with costs -values failed in
+    # HiGHS ("solve error").
+    e, target = SIDE_BETS
+    cost = quadratic_cost(Belief([0.5, 0.5]), scale=scale)
+    payments = optimal_contract(e, target, cost).contract.payments + bonus
+    contract = Contract(payments, limited_liability=True)
+    result = _certified_quadratic_response(e, contract, cost, cost.prior, target)
+    assert result.gap <= oracle.VERIFY_TOL * max(1.0, np.ptp(e.kernel @ payments, axis=1).max())
+    chords = _two_state_chords(e, contract, cost, cost.prior)
+    assert -1e-12 <= (result.optimal_value - chords) / result.optimal_value <= 1e-9
+    assert verify_contract(e, target, cost, contract)
+
+
+def test_restricted_lp_is_unmoved_by_a_large_constant_in_the_values():
+    # Adding b to every value adds b to the optimum and to the plane's
+    # constant term and leaves the weights' optimality alone.  HiGHS fails
+    # on costs near 1e9 when posed as given; the LP is posed shifted by the
+    # largest value, so the costs stay the values' spread.
+    rng = np.random.default_rng(71)
+    for _ in range(20):
+        n, k = int(rng.integers(2, 5)), int(rng.integers(6, 12))
+        prior = rng.dirichlet(np.full(n, 5.0))
+        points = np.vstack([rng.dirichlet(np.ones(n), size=k), prior])
+        values = 1e7 * rng.random(k + 1) * (points ** 2).sum(axis=1)
+        weights, plane = oracle._restricted_lp(points, values, prior)
+        lifted = np.column_stack([points, np.ones(k + 1)])
+        for bonus in (1e9, 1e11, 1e13):
+            moved_weights, moved = oracle._restricted_lp(points, values + bonus, prior)
+            np.testing.assert_allclose(moved_weights @ lifted, np.append(prior, 1.0), atol=1e-12)
+            assert moved_weights @ values == pytest.approx(weights @ values, rel=1e-12)
+            np.testing.assert_allclose(moved[:-1], plane[:-1], rtol=1e-9, atol=1e-9 * 1e7)
+            assert moved[-1] - bonus == pytest.approx(plane[-1], rel=1e-9, abs=1e-9 * 1e7)
 
 
 def test_quadratic_route_verifies_corner_contracts_beyond_three_states():
