@@ -46,6 +46,11 @@ RANK_TOL_FACTOR = 1e-12
 LP_FEASIBILITY_TOL = 1e-7
 RESIDUAL_TOL = 1e-9
 
+# Share of max|b_eq| that rounding may leave in an LP's equality residual
+# (~1e-14 is seen at right-hand sides of 1e9 to 1e11).  It loosens the
+# absolute LP_FEASIBILITY_TOL only where max|b_eq| exceeds 1e5.
+LP_RHS_ROUNDING_TOL = 1e-12
+
 _log = logging.getLogger(__name__)
 
 
@@ -207,9 +212,10 @@ def solve_lp(c, a_eq, b_eq) -> tuple[np.ndarray, np.ndarray]:
 
     Raises :class:`SolverFailureError`, with HiGHS's message, unless HiGHS
     reports an optimum that passes a re-check at ``tol = LP_FEASIBILITY_TOL``:
-    the equality residual ``max|a_eq @ x - b_eq| <= tol * max(1, max|b_eq|)``,
-    ``min(x) >= -tol``, agreement between ``c @ x`` and the reported
-    objective, and the dual certificate, reduced costs
+    the equality residual ``max|a_eq @ x - b_eq| <= max(tol,
+    LP_RHS_ROUNDING_TOL * max|b_eq|)``, ``min(x) >= -tol``, agreement
+    between ``c @ x`` and the reported objective, and the dual
+    certificate, reduced costs
     ``c - a_eq' y >= -tol * max(1, max|c|)`` and a duality gap
     ``|c'x - b'y| <= tol * max(1, |c'x|)``.  The returned ``x`` is then
     clipped at zero, so it is exactly nonnegative.
@@ -230,12 +236,13 @@ def solve_lp(c, a_eq, b_eq) -> tuple[np.ndarray, np.ndarray]:
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("LP %dx%d: %s after %d simplex iterations, duality gap %.3e",
                    *a_eq.shape, res.message, res.nit, gap)
-    # The residual is relative to the right-hand side: rounding alone leaves
-    # ~1e-16 of it, which at a payment LP's marginal costs of 1e10 exceeds
-    # an absolute tolerance.
-    residual = float(np.max(np.abs(a_eq @ x - b_eq))) / max(1.0, float(np.max(np.abs(b_eq))))
-    violation = max(residual, -float(x.min()))
-    if violation > LP_FEASIBILITY_TOL or abs(objective - res.fun) > scale:
+    # Rounding of a payment LP's marginal costs of 1e10 alone leaves more
+    # than the absolute tolerance in the residual; below 1e5 it stays absolute.
+    residual = float(np.max(np.abs(a_eq @ x - b_eq)))
+    residual_tol = max(LP_FEASIBILITY_TOL, LP_RHS_ROUNDING_TOL * float(np.max(np.abs(b_eq))))
+    if (residual > residual_tol or -float(x.min()) > LP_FEASIBILITY_TOL
+            or abs(objective - res.fun) > scale):
+        violation = max(residual, -float(x.min()))
         raise SolverFailureError(f"solution failed verification (violation={violation:.3e})")
     reduced = float(np.min(c - a_eq.T @ y))
     if reduced < -LP_FEASIBILITY_TOL * max(1.0, float(np.max(np.abs(c)))) or gap > scale:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from helpers import stalled_linprog
+from helpers import SIDE_BETS, stalled_linprog
 
 from infocontracts import (
     Belief,
@@ -349,20 +349,18 @@ def test_solver_failures_exit_4_without_a_traceback(runner, tmp_path, monkeypatc
 def test_contract_verify_resolves_side_bets_at_large_cost_scales(runner, tmp_path, scale):
     # At 1e10 the payment LP's residual is ~1e-16 of its right-hand side,
     # and at 1e11 the agent's values reach ~1e11; both LPs resolve.
-    side_bets = {"kernel": [[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]]}
+    experiment, target = SIDE_BETS
     result = runner.invoke(main, [
         "contract", "--verify",
-        "--experiment", write(tmp_path, "e.json", side_bets),
-        "--target", write(tmp_path, "t.json", BINARY_TARGET),
+        "--experiment", write(tmp_path, "e.json", {"kernel": experiment.kernel.tolist()}),
+        "--target", write(tmp_path, "t.json", {
+            "posteriors": [b.probs.tolist() for b in target.beliefs],
+            "weights": target.weights.tolist()}),
         "--cost", write(tmp_path, "c.json", {**QUADRATIC2, "scale": scale}),
     ])
     assert result.exit_code == 0, result.output
     payload = json.loads(result.output)
-    report = optimal_contract(
-        Experiment(side_bets["kernel"]),
-        PosteriorDistribution(BINARY_TARGET["posteriors"], BINARY_TARGET["weights"]),
-        quadratic_cost(Belief([0.5, 0.5]), scale=scale),
-    )
+    report = optimal_contract(experiment, target, quadratic_cost(Belief([0.5, 0.5]), scale=scale))
     assert payload["kappa"] == report.kappa
     assert 0.0 <= payload["oracle_gap"] <= 1e-12 * payload["oracle_optimal_value"]
 

@@ -473,9 +473,9 @@ def test_payment_lp_resolves_at_a_cost_scale_of_1e10():
 
 
 def test_a_payment_lp_residual_of_1e_6_of_its_scale_is_rejected(monkeypatch):
-    # The residual test is relative to the right-hand side, not switched
-    # off: a payment moved so that one equality misses by 1e-6 of max|b|
-    # fails it, with the objective kept consistent with the moved point.
+    # The residual test scales with the right-hand side, not switched off:
+    # a payment moved so that one equality misses by 1e-6 of max|b| fails
+    # it, with the objective kept consistent with the moved point.
     from infocontracts import numerics
 
     e, target = SIDE_BETS

@@ -343,6 +343,31 @@ def test_perturbed_duals_fail_the_dual_certificate(monkeypatch):
             solve_lp(c, a, b)
 
 
+@pytest.mark.parametrize(("rhs", "miss", "passes"), [
+    (3.0, 5e-8, True), (3.0, 2e-7, False), (3e10, 1e-3, True), (3e10, 3e4, False)])
+def test_equality_residual_is_absolute_until_rounding_of_the_rhs_exceeds_it(
+        monkeypatch, rhs, miss, passes):
+    # min x1 subject to x0 + x1 = rhs: the optimum (rhs, 0) has objective,
+    # duals and duality gap all zero, so moving x0 by ``miss`` leaves the
+    # equality residual as the only failing check.  Below max|b| = 1e5 the
+    # tolerance is the absolute 1e-7; at 3e10 it is 1e-12 of max|b|.
+    c, a, b = np.array([0.0, 1.0]), np.array([[1.0, 1.0]]), np.array([rhs])
+    real = numerics.linprog
+
+    def moved(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.x = res.x + np.array([miss, 0.0])
+        return res
+
+    monkeypatch.setattr(numerics, "linprog", moved)
+    if passes:
+        x, _ = solve_lp(c, a, b)
+        assert x[0] == rhs + miss
+    else:
+        with pytest.raises(SolverFailureError, match=r"solution failed verification \(violation="):
+            solve_lp(c, a, b)
+
+
 def test_each_lp_logs_one_debug_line(caplog):
     c, a, b = np.array([1.0, 0.0]), np.array([[1.0, -1.0]]), np.array([3.0])
     with caplog.at_level(logging.INFO, logger="infocontracts.numerics"):
