@@ -16,8 +16,10 @@ simplex of the concave ``f(q) = s sum_n mu0_n log z_n``, where
 ``z = exp(u / s) @ q``.  Blahut-Arimoto steps ``q <- q * D(q)``, with
 ``D_x = sum_n mu0_n exp(u_nx / s) / z_n``, raise ``f`` monotonically; an
 active-set Newton step on the support of ``q`` accelerates them.  By
-Jensen, ``f(q*) <= f(q) + s log max_x D_x``, and the solve stops once that
-bound is within ``CERTIFICATE_TOL`` of ``f``.  ``optimal_value`` is the
+Jensen, ``f(q*) <= f(q) + s log max_x D_x`` at every ``q``, and the solve
+stops once that bound is within ``CERTIFICATE_TOL`` of ``f``.  It starts
+from a target's weights, where an optimal target is certified before any
+step, and otherwise from uniform ``q``.  ``optimal_value`` is the
 upper bound, so a passing ``verify_contract`` is sound.  The support is the
 channel's posteriors ``mu_x = mu0 * exp(u_x / s) / (z D_x)`` at weights
 ``q_x D_x``: they average to the prior exactly and are worth at least
@@ -29,14 +31,17 @@ report ``k``'s best posterior against a multiplier ``lam`` is the Euclidean
 projection ``m_k = proj(a + (u_k - lam) / (2 s))`` onto the simplex, worth
 ``h_k = m_k @ (u_k - lam) - s ||m_k - a||^2``, and by weak duality every
 ``lam`` bounds the agent's value by ``g(lam) = mu0 @ lam + max_k h_k``.
-A restricted LP over the prior, the simplex vertices, the target's
-posteriors and each ``m_k(0)`` picks the reports to play; semismooth Newton
-steps on the KKT system (``sum_A w_k m_k = mu0``, ``h_k = t`` on the
-active reports ``A``) polish the multiplier, the posteriors and their
-weights, and the solve stops once ``g`` is within ``CERTIFICATE_TOL`` of
-the polished support's value.  ``optimal_value`` is ``g``; the support's
-value is the lower end of the bracket.  Otherwise the posteriors above the
-LP's plane join it, for at most ``QUADRATIC_ROUNDS`` rounds.
+Semismooth Newton steps on the KKT system (``sum_A w_k m_k = mu0``,
+``h_k = t`` on the active reports ``A``) polish the multiplier, the
+posteriors and their weights, and the solve stops once ``g`` is within
+``CERTIFICATE_TOL`` of the polished support's value.  ``optimal_value`` is
+``g``; the support's value is the lower end of the bracket.  With a target
+the first polish starts from the multiplier fitted to its posteriors,
+every report active at its weights, and an optimal target is certified
+with no LP.  Otherwise a restricted LP over the prior, the simplex
+vertices, the target's posteriors and each ``m_k(0)`` picks the reports to
+play, and, until the polish certifies, the posteriors above the LP's plane
+join it, for at most ``QUADRATIC_ROUNDS`` rounds.
 
 Every other cost is solved at 2 or 3 states on a dense belief grid:
 evaluate the net payoff of the best report at every grid belief, then find
@@ -66,7 +71,7 @@ import numpy as np
 from .contracts import Contract
 from .costs import PosteriorCost
 from .errors import DimensionMismatchError, InputError, SolverFailureError
-from .experiments import Belief, Experiment, PosteriorDistribution
+from .experiments import Belief, Experiment, PosteriorDistribution, is_bayes_plausible
 from .numerics import solve_lp
 
 DEFAULT_RESOLUTION = {2: 2001, 3: 201}
@@ -275,11 +280,14 @@ class _Channel(NamedTuple):
     upper: float
 
 
-def _rational_inattention(utilities: np.ndarray, prior: np.ndarray, scale: float) -> _Channel:
+def _rational_inattention(utilities: np.ndarray, prior: np.ndarray, scale: float,
+                         start: np.ndarray | None) -> _Channel:
     """Maximize ``f(q) = scale * sum_n prior_n log (exp(utilities / scale) @ q)_n``
     over the simplex until the Jensen bound certifies ``f`` to
-    ``CERTIFICATE_TOL``.  Works in the log domain, each row shifted by its
-    maximum; states the prior rules out play no part."""
+    ``CERTIFICATE_TOL``, from the report probabilities ``start`` or, without
+    them or where they leave a state no report, uniform ones.  Works in the
+    log domain, each row shifted by its maximum; states the prior rules out
+    play no part."""
     charged = prior > 0.0
     mu0 = prior[charged]
     scaled = utilities[charged] / scale
@@ -295,7 +303,10 @@ def _rational_inattention(utilities: np.ndarray, prior: np.ndarray, scale: float
         z = lik @ q
         return z, (mu0 / z) @ lik, value(q)
 
-    q = np.full(lik.shape[1], 1.0 / lik.shape[1])
+    if start is None or not (lik @ start > 0.0).all():
+        q = np.full(lik.shape[1], 1.0 / lik.shape[1])
+    else:
+        q = start / start.sum()
     for _ in range(MAX_ITERATIONS):
         z, d, f = evaluate(q)
         worst = int(np.argmax(d))
@@ -387,8 +398,8 @@ def _merge_coincident(points: np.ndarray, weights: np.ndarray):
 
 
 def _entropy_response(utilities: np.ndarray, cost: PosteriorCost, prior: np.ndarray,
-                      scale: float) -> OracleResult:
-    channel = _rational_inattention(utilities, prior, scale)
+                      scale: float, start: np.ndarray | None) -> OracleResult:
+    channel = _rational_inattention(utilities, prior, scale, start)
     # f prices information from the agent's prior; the cost's prices are
     # zero at its own prior, so the two differ by the price of the former.
     offset = cost.value_at(prior)
@@ -521,17 +532,49 @@ def _fitted_multiplier(utilities: np.ndarray, anchor: np.ndarray, scale: float,
 
 def _quadratic_response(utilities: np.ndarray, cost: PosteriorCost, prior: np.ndarray,
                         scale: float, target: PosteriorDistribution | None) -> OracleResult:
-    """The quadratic route (module docstring).  Each round's Newton polish
-    starts from a multiplier fitted to the LP's support and, failing that,
-    from the LP's dual plane; failing both, the posteriors priced at the
-    plane that lie above it and both polished supports join the LP.  The
-    support must average to the prior within ``CERTIFICATE_TOL * max(1,
-    max|u| / scale)``, the rounding of the priced posteriors."""
+    """The quadratic route (module docstring).  A target, which holds one
+    posterior per report, is tried first: every report active at the
+    target's weights, from the multiplier fitted to its posteriors.  Each
+    round's Newton polish starts from a multiplier fitted to the LP's
+    support and, failing that, from the LP's dual plane; failing both, the
+    posteriors priced at the plane that lie above it and both polished
+    supports join the LP.  The support must average to the prior within
+    ``CERTIFICATE_TOL * max(1, max|u| / scale)``, the rounding of the
+    priced posteriors."""
     anchor, n = cost.prior.probs, prior.size
     mean_tol = CERTIFICATE_TOL * max(1.0, float(np.abs(utilities).max()) / scale)
+
+    def certified(lam: np.ndarray, active: np.ndarray, weights: np.ndarray,
+                  lp_columns: int, rounds: int) -> tuple[OracleResult | None, np.ndarray]:
+        """Polish ``lam`` with ``active`` played at ``weights``; the result
+        if the certificate passes, else None, and the polished support."""
+        level_at = float(_priced(utilities[:, active], anchor, scale, lam)[1].mean())
+        point = _with_active_set(utilities, anchor, scale, prior,
+                                 _Kkt(lam, level_at, active, weights))
+        m, h = _priced(utilities, anchor, scale, point.lam)
+        mass, support = np.maximum(point.weights, 0.0), m[point.active]
+        lower = float(mass @ _net_values(support, utilities, cost))
+        # Rounding can leave g a few ulps under the value it bounds.
+        upper = max(float(prior @ point.lam + h.max()), lower)
+        if (np.abs(mass @ support - prior).max() > mean_tol
+                or upper - lower > CERTIFICATE_TOL * max(1.0, abs(lower))):
+            return None, support
+        points, mass = _merge_coincident(support[mass > 0.0], mass[mass > 0.0])
+        return OracleResult(
+            optimal_value=upper, support_beliefs=tuple(Belief(p) for p in points),
+            support_weights=mass, target_value=None, gap=None, route="quadratic",
+            lp_columns=lp_columns, pricing_rounds=rounds, bracket=(lower, upper),
+        ), support
+
     columns = [prior[None, :], np.eye(n), _priced(utilities, anchor, scale, np.zeros(n))[0]]
     if target is not None:
-        columns.append(target.posterior_matrix().T)
+        posts = target.posterior_matrix().T
+        every = np.arange(posts.shape[0])
+        result, _ = certified(_fitted_multiplier(utilities, anchor, scale, posts, every),
+                              every, target.weights, 0, 0)
+        if result is not None:
+            return result
+        columns.append(posts)
     columns = np.vstack(columns)
     for rounds in range(1, QUADRATIC_ROUNDS + 1):
         values = _net_values(columns, utilities, cost)
@@ -546,22 +589,9 @@ def _quadratic_response(utilities: np.ndarray, cost: PosteriorCost, prior: np.nd
         posts /= weights[:, None]
         tried = []
         for lam in (_fitted_multiplier(utilities, anchor, scale, posts, active), slope):
-            level_at = float(_priced(utilities[:, active], anchor, scale, lam)[1].mean())
-            point = _with_active_set(utilities, anchor, scale, prior,
-                                     _Kkt(lam, level_at, active, weights))
-            m, h = _priced(utilities, anchor, scale, point.lam)
-            mass, support = np.maximum(point.weights, 0.0), m[point.active]
-            lower = float(mass @ _net_values(support, utilities, cost))
-            # Rounding can leave g a few ulps under the value it bounds.
-            upper = max(float(prior @ point.lam + h.max()), lower)
-            if (np.abs(mass @ support - prior).max() <= mean_tol
-                    and upper - lower <= CERTIFICATE_TOL * max(1.0, abs(lower))):
-                points, mass = _merge_coincident(support[mass > 0.0], mass[mass > 0.0])
-                return OracleResult(
-                    optimal_value=upper, support_beliefs=tuple(Belief(p) for p in points),
-                    support_weights=mass, target_value=None, gap=None, route="quadratic",
-                    lp_columns=columns.shape[0], pricing_rounds=rounds, bracket=(lower, upper),
-                )
+            result, support = certified(lam, active, weights, columns.shape[0], rounds)
+            if result is not None:
+                return result
             tried.append(support)
         priced, gain = _priced(utilities, anchor, scale, slope)
         above = gain > level + PRICING_TOL * max(1.0, float(np.abs(values).max()))
@@ -624,16 +654,27 @@ def agent_best_response(e_p: Experiment, t: Contract, cost: PosteriorCost,
     value of the best report at every grid belief, and its best expectation
     over grid distributions averaging back to the prior (an LP, solved by
     column generation).  Returns the achieving support and, for a target,
-    how far its value falls short of the optimum.
+    how far its value falls short of the optimum.  A target holds one
+    posterior per contract column, on the experiment's states
+    (``DimensionMismatchError`` otherwise), averages back to ``prior``
+    (``InputError`` otherwise), and is where the exact routes start.
     """
     if prior.n_states != e_p.n_states:
         raise DimensionMismatchError("prior does not match the experiment")
     if t.payments.shape[0] != e_p.n_realizations:
         raise DimensionMismatchError("contract rows do not match the experiment realizations")
+    if target is not None:
+        if target.n_states != e_p.n_states:
+            raise DimensionMismatchError("target does not match the experiment's states")
+        if target.size != t.payments.shape[1]:
+            raise DimensionMismatchError("target needs one posterior per contract column")
+        if not is_bayes_plausible(target, prior):
+            raise InputError("target must average back to the prior (Bayes plausibility)")
     utilities = e_p.kernel @ t.payments
     route, scale = _route(cost)
     if route == "entropy":
-        result = _entropy_response(utilities, cost, prior.probs, scale)
+        result = _entropy_response(utilities, cost, prior.probs, scale,
+                                   None if target is None else target.weights)
     elif route == "quadratic":
         result = _quadratic_response(utilities, cost, prior.probs, scale, target)
     else:

@@ -234,8 +234,38 @@ def test_oracle_command(runner, tmp_path):
     lower, upper = payload["bracket"]
     assert upper == payload["optimal_value"]
     assert 0.0 <= upper - lower <= CERTIFICATE_TOL * max(1.0, abs(lower))
+    # The target is optimal under the contract: certified there, no LP runs.
     for key in ("lp_columns", "pricing_rounds"):
-        assert type(payload[key]) is int and payload[key] > 0
+        assert type(payload[key]) is int and payload[key] == 0
+    # Without a target the restricted LP picks the reports.
+    result = runner.invoke(main, args[:-2])
+    assert result.exit_code == 0, result.output
+    untargeted = json.loads(result.output)
+    assert untargeted["gap"] is None
+    assert untargeted["optimal_value"] == pytest.approx(payload["optimal_value"], rel=1e-12)
+    for key in ("lp_columns", "pricing_rounds"):
+        assert type(untargeted[key]) is int and untargeted[key] > 0
+
+
+@pytest.mark.parametrize("cost", [QUADRATIC2, ENTROPY2])
+def test_oracle_target_of_the_wrong_shape_or_off_the_prior_exits_2(runner, tmp_path, cost):
+    three = {"posteriors": [[0.7, 0.3], [0.3, 0.7], [0.5, 0.5]], "weights": [0.4, 0.4, 0.2]}
+    implausible = {"posteriors": [[0.05, 0.95], [0.1, 0.9]], "weights": [0.5, 0.5]}
+    runs = [
+        (BINARY, {"payments": [[2.0, 0.0], [0.0, 2.0]]}, three, "one posterior per"),
+        ({"kernel": [[0.7, 0.3], [0.2, 0.8]]}, {"payments": [[0.0, 0.0], [5.0, 5.0]]},
+         implausible, "Bayes plausibility"),
+    ]
+    for experiment, contract, target, message in runs:
+        result = runner.invoke(main, [
+            "oracle",
+            "--experiment", write(tmp_path, "e.json", experiment),
+            "--cost", write(tmp_path, "c.json", cost),
+            "--contract", write(tmp_path, "k.json", contract),
+            "--target", write(tmp_path, "t.json", target),
+        ])
+        assert result.exit_code == 2, result.output
+        assert message in result.output and "Traceback" not in result.output
 
 
 def test_demo_binary_pair_reproduces_rent_table(runner):
@@ -382,21 +412,31 @@ def test_contract_verify_with_a_too_coarse_grid_exits_2(runner, tmp_path):
 def test_oracle_solver_failures_exit_4(runner, tmp_path, monkeypatch):
     from infocontracts import numerics
 
-    # Only the oracle's LP stalls: the binary contract is closed-form.
+    # The oracle's restricted LP stalls without a target, and on a target
+    # it cannot certify (a third report the agent should not play); the
+    # side-bets contract stalls at its payment LP.
     monkeypatch.setattr(numerics, "linprog", stalled_linprog)
     experiment = write(tmp_path, "e.json", BINARY)
     cost = write(tmp_path, "c.json", QUADRATIC2)
     contract = {"payments": [[2.0, 0.0], [0.0, 2.0]], "limited_liability": True}
+    three = {"payments": [[2.0, 0.0, 1.0], [0.0, 2.0, 1.0]], "limited_liability": True}
+    off_optimum = {"posteriors": [[0.7, 0.3], [0.3, 0.7], [0.5, 0.5]], "weights": [0.4, 0.4, 0.2]}
+    e, target = SIDE_BETS
     runs = [
-        ["oracle", "--experiment", experiment, "--cost", cost,
-         "--contract", write(tmp_path, "k.json", contract)],
-        ["contract", "--verify", "--experiment", experiment, "--cost", cost,
-         "--target", write(tmp_path, "t.json", BINARY_TARGET)],
+        (["oracle", "--experiment", experiment, "--cost", cost,
+          "--contract", write(tmp_path, "k.json", contract)], "best-response LP"),
+        (["oracle", "--experiment", experiment, "--cost", cost,
+          "--contract", write(tmp_path, "k3.json", three),
+          "--target", write(tmp_path, "t3.json", off_optimum)], "best-response LP"),
+        (["contract", "--verify", "--experiment", write(tmp_path, "side.json", e.to_dict()),
+          "--cost", cost, "--target", write(tmp_path, "t.json", target.to_dict())],
+         "cost-minimization LP"),
     ]
-    for args in runs:
+    for args, stage in runs:
         result = runner.invoke(main, args)
         assert result.exit_code == 4, result.output
         assert "solver failure" in result.output and "stalled" in result.output
+        assert stage in result.output
 
 
 def test_contract_no_ll_prices_the_target_once(runner, tmp_path, monkeypatch):

@@ -18,10 +18,12 @@ from helpers import (
 from infocontracts import (
     Belief,
     Contract,
+    DimensionMismatchError,
     Experiment,
     GridSpec,
     InputError,
     NotImplementableError,
+    PosteriorDistribution,
     SolverFailureError,
     agent_best_response,
     custom_cost,
@@ -747,3 +749,145 @@ def test_quadratic_route_past_its_round_cap_is_a_solver_failure(monkeypatch):
     monkeypatch.setattr(oracle, "QUADRATIC_ROUNDS", 1)
     with pytest.raises(SolverFailureError, match="not certified within 1 rounds"):
         agent_best_response(*TWO_ROUNDS)
+
+
+def _target_start_cases():
+    """(experiment, contract, cost, target, optimal) at 2 to 4 states under
+    entropy and quadratic costs: random interior targets, quadratic targets
+    with boundary posteriors, each at its optimal contract and at that
+    contract perturbed off the optimum, and entropy targets with a boundary
+    posterior under contracts made for other targets."""
+    rng = np.random.default_rng(73)
+    drawn = []
+    for n in (2, 3, 4):
+        for make in (entropy_cost, quadratic_cost):
+            prior = random_interior_prior(rng, n, low=0.5 / n)
+            e = Experiment(random_stochastic(rng, n, n + 2))
+            drawn.append((e, posteriors(Experiment(random_stochastic(rng, n, 3)), prior),
+                          make(prior)))
+    weight = 0.3                                 # a vertex posterior at 2 states
+    vertex = PosteriorDistribution([[1.0, 0.0], [0.2 / 0.7, 0.5 / 0.7]], [weight, 1 - weight])
+    drawn.append((Experiment([[0.8, 0.2], [0.25, 0.75]]), vertex, quadratic_cost(Belief([0.5, 0.5]))))
+    for n, corners in ((3, 1), (4, 1), (4, 2)):
+        drawn.append(full_rank_corner_instance(rng, n, corners))
+    cases = []
+    for e, target, cost in drawn:
+        report = optimal_contract(e, target, cost)
+        assert report.implementable
+        payments = report.contract.payments
+        nudged = payments + rng.uniform(0.0, 0.5, payments.shape) * max(1.0, payments.max())
+        cases += [(e, report.contract, cost, target, True),
+                  (e, Contract(nudged), cost, target, False)]
+        if cost.kind == "entropy":
+            corner = np.zeros(e.n_states)
+            corner[0] = 1.0
+            rest = (cost.prior.probs - 0.1 * corner) / 0.9
+            boundary = PosteriorDistribution([corner, rest], [0.1, 0.9])
+            contract = Contract(rng.uniform(0.0, 2.0, (e.n_realizations, 2)))
+            cases.append((e, contract, cost, boundary, False))
+    return cases
+
+
+def _support_value(e, contract, cost, result) -> float:
+    """The support's value, its price recomputed from the cost's formula."""
+    support = np.array([b.probs for b in result.support_beliefs])
+    if cost.kind == "entropy":
+        net = _independent_net_value(e, contract, cost, support)
+    else:
+        price = cost.params["scale"] * ((support - cost.prior.probs) ** 2).sum(axis=1)
+        net = (support @ e.kernel @ contract.payments).max(axis=1) - price
+    np.testing.assert_allclose(result.support_weights @ support, cost.prior.probs,
+                               rtol=0, atol=1e-12)
+    return float(result.support_weights @ net)
+
+
+@pytest.mark.parametrize("case", _target_start_cases())
+def test_a_solve_from_the_target_agrees_with_one_without_it(case):
+    e, contract, cost, target, optimal = case
+    cold = agent_best_response(e, contract, cost, cost.prior)
+    warm = agent_best_response(e, contract, cost, cost.prior, target=target)
+    value = cold.optimal_value
+    assert abs(warm.optimal_value - value) <= 2 * oracle.CERTIFICATE_TOL * max(1.0, abs(value))
+    for result in (cold, warm):
+        lower, upper = result.bracket
+        assert upper == result.optimal_value
+        assert 0.0 <= upper - lower <= oracle.CERTIFICATE_TOL * max(1.0, abs(lower))
+        scale = max(1.0, abs(upper))
+        assert lower - 1e-10 * scale <= _support_value(e, contract, cost, result) <= upper + 1e-10 * scale
+        # Each solve's support is worth no more than the other's bound.
+        assert lower <= warm.optimal_value + 1e-12 * scale
+        assert lower <= cold.optimal_value + 1e-12 * scale
+    if optimal:
+        assert abs(warm.gap) <= 1e-9 * max(1.0, abs(value))
+        assert verify_contract(e, target, cost, contract)
+    else:
+        assert warm.gap > 1e-6
+        assert not verify_contract(e, target, cost, contract)
+
+
+def test_optimal_contracts_are_certified_at_the_target(monkeypatch):
+    from infocontracts import numerics
+
+    cases = [case for case in _target_start_cases() if case[4]]
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(oracle, "_newton_step", counted("newton", oracle._newton_step))
+    monkeypatch.setattr(numerics, "linprog", counted("linprog", numerics.linprog))
+    routes = set()
+    for e, contract, cost, target, _ in cases:
+        result = agent_best_response(e, contract, cost, cost.prior, target=target)
+        routes.add(result.route)
+        assert result.lp_columns == result.pricing_rounds == 0
+    assert routes == {"entropy", "quadratic"} and calls == []
+    # The same solves without the target take Newton steps and LPs.
+    for e, contract, cost, _, _ in cases:
+        agent_best_response(e, contract, cost, cost.prior)
+    assert {"newton", "linprog"} <= set(calls)
+
+
+# Kernel, uniform prior and contract of a target that averages to
+# (0.075, 0.925), not the prior.
+IMPLAUSIBLE = (Experiment([[0.7, 0.3], [0.2, 0.8]]), Contract([[0.0, 0.0], [5.0, 5.0]]),
+               PosteriorDistribution([[0.05, 0.95], [0.1, 0.9]], [0.5, 0.5]))
+
+
+@pytest.mark.parametrize("cost", [quadratic_cost(Belief.uniform(2), scale=0.1),
+                                  entropy_cost(Belief.uniform(2))])
+def test_a_target_that_is_not_bayes_plausible_is_an_input_error(cost):
+    e, contract, target = IMPLAUSIBLE
+    with pytest.raises(InputError, match="Bayes plausibility"):
+        agent_best_response(e, contract, cost, cost.prior, target=target)
+    with pytest.raises(InputError, match="Bayes plausibility"):
+        verify_contract(e, target, cost, contract)
+
+
+@pytest.mark.parametrize("cost", [quadratic_cost(Belief.uniform(2)), entropy_cost(Belief.uniform(2)),
+                                  grid_priced(entropy_cost(Belief.uniform(2)))])
+def test_a_target_of_the_wrong_shape_is_a_dimension_mismatch(cost):
+    contract = Contract([[2.0, 0.0], [0.0, 2.0]])
+    three_states = PosteriorDistribution([[0.5, 0.25, 0.25], [0.5, 0.25, 0.25]], [0.5, 0.5])
+    three_posteriors = PosteriorDistribution([[0.7, 0.3], [0.3, 0.7], [0.5, 0.5]], [0.4, 0.4, 0.2])
+    for target, what in ((three_states, "states"), (three_posteriors, "one posterior per")):
+        with pytest.raises(DimensionMismatchError, match=what):
+            agent_best_response(BINARY, contract, cost, cost.prior, target=target)
+        with pytest.raises(DimensionMismatchError, match=what):
+            verify_contract(BINARY, target, cost, contract)
+
+
+def test_an_entropy_start_that_leaves_a_state_no_report_starts_uniform():
+    # exp(-1000) underflows, so the target's one played report has zero
+    # likelihood in state 0; Blahut-Arimoto starts from uniform weights.
+    e = Experiment([[1.0, 0.0], [0.0, 1.0]])
+    contract = Contract([[1000.0, 0.0], [0.0, 0.0]])
+    cost = entropy_cost(Belief.uniform(2))
+    target = PosteriorDistribution([[0.9, 0.1], [0.5, 0.5]], [0.0, 1.0])
+    result = agent_best_response(e, contract, cost, cost.prior, target=target)
+    assert result.optimal_value == agent_best_response(e, contract, cost, cost.prior).optimal_value
+    assert result.optimal_value == pytest.approx(500.0, rel=1e-12)
+    assert result.gap == pytest.approx(500.0, rel=1e-12)
