@@ -64,7 +64,7 @@ from .numerics import (
     pseudo_inverse,
     solve_lp,
 )
-from .oracle import GridSpec, OracleResult, agent_best_response, simplex_grid, verify_contract
+from .oracle import OracleResult, agent_best_response, simplex_grid, verify_contract
 from .orders import (
     OrderVerdict,
     Relation,

@@ -25,7 +25,6 @@ from .contracts import (
     expected_payment,
     optimal_contract,
     synthesize_family,
-    _zero_rent,
 )
 from .costs import cost_from_dict, entropy_cost
 from .errors import InputError, NotImplementableError, SolverFailureError
@@ -53,45 +52,28 @@ def _library_errors():
         raise CliSolverError(f"solver failure: {exc}") from exc
 
 
-def _load_json(path: str, what: str) -> dict:
+def _load(path: str, what: str, build):
+    """``build`` applied to the JSON read from ``path`` (``-`` for stdin);
+    unreadable or malformed input exits 2 with a message naming ``what``."""
     try:
         if path == "-":
-            return json.load(sys.stdin)
-        with open(path) as handle:
-            return json.load(handle)
+            data = json.load(sys.stdin)
+        else:
+            with open(path) as handle:
+                data = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise CliInputError(f"cannot read {what} from {path}: {exc}") from exc
-
-
-def _load_experiment(path: str) -> Experiment:
     try:
-        return Experiment.from_dict(_load_json(path, "experiment"))
+        return build(data)
     except (InputError, KeyError, TypeError) as exc:
-        raise CliInputError(f"bad experiment in {path}: {exc}") from exc
-
-
-def _load_cost(path: str):
-    try:
-        return cost_from_dict(_load_json(path, "cost"))
-    except (InputError, KeyError, TypeError) as exc:
-        raise CliInputError(f"bad cost in {path}: {exc}") from exc
+        raise CliInputError(f"bad {what} in {path}: {exc}") from exc
 
 
 def _load_target(path: str, prior: Belief) -> PosteriorDistribution:
-    data = _load_json(path, "target")
-    try:
-        if "kernel" in data:
-            return posteriors(Experiment.from_dict(data), prior)
-        return PosteriorDistribution.from_dict(data)
-    except (InputError, KeyError, TypeError) as exc:
-        raise CliInputError(f"bad target in {path}: {exc}") from exc
-
-
-def _load_contract(path: str) -> Contract:
-    try:
-        return Contract.from_dict(_load_json(path, "contract"))
-    except (InputError, KeyError, TypeError) as exc:
-        raise CliInputError(f"bad contract in {path}: {exc}") from exc
+    """A target given as ``{posteriors, weights}``, or as an experiment
+    whose posteriors at ``prior`` it is."""
+    return _load(path, "target", lambda data: posteriors(Experiment.from_dict(data), prior)
+                 if "kernel" in data else PosteriorDistribution.from_dict(data))
 
 
 def _jsonable(value):
@@ -147,8 +129,8 @@ def main():
 @_output_option
 def cmd_implementable(experiment_path, target_path, cost_path, strict, fmt, output):
     """Decide whether the target can be incentivized, with certificates."""
-    e_p = _load_experiment(experiment_path)
-    cost = _load_cost(cost_path)
+    e_p = _load(experiment_path, "experiment", Experiment.from_dict)
+    cost = _load(cost_path, "cost", cost_from_dict)
     target = _load_target(target_path, cost.prior)
     with _library_errors():
         report = check_implementable(e_p, target, cost)
@@ -177,8 +159,8 @@ def cmd_implementable(experiment_path, target_path, cost_path, strict, fmt, outp
 @_output_option
 def cmd_contract(experiment_path, target_path, cost_path, no_ll, verify, fmt, output):
     """Synthesize the cost-minimizing (or zero-rent benchmark) contract."""
-    e_p = _load_experiment(experiment_path)
-    cost = _load_cost(cost_path)
+    e_p = _load(experiment_path, "experiment", Experiment.from_dict)
+    cost = _load(cost_path, "cost", cost_from_dict)
     target = _load_target(target_path, cost.prior)
     contract = None
     failed = False
@@ -186,7 +168,7 @@ def cmd_contract(experiment_path, target_path, cost_path, no_ll, verify, fmt, ou
         try:
             if no_ll:
                 family = synthesize_family(e_p, target, cost)
-                contract = _zero_rent(family, target, cost.prior)
+                contract = family.zero_rent_member(target, cost.prior)
                 payload = {
                     "contract": contract.to_dict(),
                     "expected_payment": expected_payment(e_p, target, cost.prior, contract),
@@ -244,8 +226,8 @@ def cmd_compare(order, first_path, second_path, fmt, output):
 
     The verdict is data, not failure: exit code 0 for any valid input.
     """
-    first = _load_experiment(first_path)
-    second = _load_experiment(second_path)
+    first = _load(first_path, "experiment", Experiment.from_dict)
+    second = _load(second_path, "experiment", Experiment.from_dict)
     with _library_errors():
         verdict = _ORDERS[order](first, second)
 
@@ -267,9 +249,9 @@ def cmd_compare(order, first_path, second_path, fmt, output):
 @_output_option
 def cmd_oracle(experiment_path, cost_path, contract_path, target_path, fmt, output):
     """Solve the agent's learning problem under a given contract."""
-    e_p = _load_experiment(experiment_path)
-    cost = _load_cost(cost_path)
-    contract = _load_contract(contract_path)
+    e_p = _load(experiment_path, "experiment", Experiment.from_dict)
+    cost = _load(cost_path, "cost", cost_from_dict)
+    contract = _load(contract_path, "contract", Contract.from_dict)
     target = None if target_path is None else _load_target(target_path, cost.prior)
     with _library_errors():
         result = agent_best_response(e_p, contract, cost, cost.prior, target=target)

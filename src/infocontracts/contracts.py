@@ -160,6 +160,24 @@ class ContractFamily:
         cols = self.experiment.kernel @ contract.payments - self.nabla
         return float(np.ptp(cols, axis=1).max(initial=0.0))
 
+    def zero_rent_member(self, target: PosteriorDistribution, prior: Belief) -> Contract:
+        """The member whose expected payment under honest play of ``target``
+        is exactly the information cost ``report.first_best``, leaving the
+        agent a net payoff of zero: a uniform bonus along ``pinv @ 1``.
+        ``target`` and ``prior`` must be the target and cost prior the
+        family was synthesized for."""
+        projector = self.pinv.projector
+        projected_cost = float(target.weights @ np.einsum(
+            "nk,nk->k", target.posterior_matrix(), projector @ self.nabla))
+        ones = np.ones(self.experiment.n_states)
+        denominator = float(prior.probs @ projector @ ones)
+        if abs(denominator) < DEGENERATE_BONUS_TOL:
+            raise InputError("degenerate bonus direction; cannot normalize the benchmark contract")
+        z = (self.report.first_best - projected_cost) / denominator
+        payments = self.base + z * (self.pinv.pinv @ ones)[:, None]
+        return Contract(payments, limited_liability=False,
+                        realizations=self.experiment.realizations)
+
 
 def synthesize_family(e_p: Experiment, target: PosteriorDistribution,
                       cost: PosteriorCost) -> ContractFamily:
@@ -297,29 +315,10 @@ def _min_payment_lp(kernel, target, nabla, free) -> tuple[np.ndarray, np.ndarray
     return x[:m * k].reshape(k, m).T, nabla - eta.reshape((n, k), order="F")
 
 
-def _zero_rent(family: ContractFamily, target: PosteriorDistribution, prior: Belief) -> Contract:
-    """The member of ``family`` whose expected payment under honest play of
-    ``target`` is exactly the information cost ``report.first_best``,
-    leaving the agent a net payoff of zero: a uniform bonus along
-    ``pinv @ 1``.  ``target`` and ``prior`` must be the target and cost
-    prior the family was synthesized for."""
-    projector = family.pinv.projector
-    projected_cost = float(
-        target.weights @ np.einsum("nk,nk->k", target.posterior_matrix(), projector @ family.nabla)
-    )
-    ones = np.ones(family.experiment.n_states)
-    denominator = float(prior.probs @ projector @ ones)
-    if abs(denominator) < DEGENERATE_BONUS_TOL:
-        raise InputError("degenerate bonus direction; cannot normalize the benchmark contract")
-    z = (family.report.first_best - projected_cost) / denominator
-    payments = family.base + z * (family.pinv.pinv @ ones)[:, None]
-    return Contract(payments, limited_liability=False, realizations=family.experiment.realizations)
-
-
 def first_best_contract(e_p: Experiment, target: PosteriorDistribution,
                         cost: PosteriorCost) -> Contract:
     """Zero-rent benchmark contract when payments may be negative."""
-    return _zero_rent(synthesize_family(e_p, target, cost), target, cost.prior)
+    return synthesize_family(e_p, target, cost).zero_rent_member(target, cost.prior)
 
 
 def expected_payment(e_p: Experiment, target: PosteriorDistribution,

@@ -43,21 +43,22 @@ vertices, the target's posteriors and each ``m_k(0)`` picks the reports to
 play, and, until the polish certifies, the posteriors above the LP's plane
 join it, for at most ``QUADRATIC_ROUNDS`` rounds.
 
-Every other cost is solved at 2 or 3 states on a dense belief grid:
+Every other cost is solved at 2 or 3 states on a fixed belief grid of
+``DEFAULT_RESOLUTION`` points per axis (2001 at 2 states, 201 at 3):
 evaluate the net payoff of the best report at every grid belief, then find
 the best mean-preserving mixture of grid beliefs by LP.  The envelope at the
 prior is supported by at most N + 1 beliefs, so the grid LP is solved by
 column generation.  A restricted LP runs over a small active set of grid
-beliefs: the prior, the target's posteriors, the extra beliefs of the grid
-request, the simplex vertices and the highest-value beliefs.  Its dual is a
-plane over the simplex; every grid belief is priced against it, the worst
-violators join the active set, and the loop repeats until no grid value
-exceeds the plane by more than ``PRICING_TOL``.  By weak duality the
-restricted optimum is then the optimum over the whole grid, to that
-tolerance; it is a lower bound on the agent's optimum over all beliefs.
-The grid always includes the prior and, when supplied, the target's
-posteriors, so a prescribed target is exactly representable and any
-reported optimality gap measures incentives, not discretization.
+beliefs: the prior, the target's posteriors, the simplex vertices and the
+highest-value beliefs.  Its dual is a plane over the simplex; every grid
+belief is priced against it, the worst violators join the active set, and
+the loop repeats until no grid value exceeds the plane by more than
+``PRICING_TOL``.  By weak duality the restricted optimum is then the
+optimum over the whole grid, to that tolerance.  It is only a lower bound
+on the agent's optimum over all beliefs, so a passing ``verify_contract``
+on this route is not sound: a better belief off the grid may exist.  The
+grid always includes the prior and, when supplied, the target's
+posteriors, so a prescribed target is exactly representable.
 """
 
 from __future__ import annotations
@@ -74,8 +75,8 @@ from .errors import DimensionMismatchError, InputError, SolverFailureError
 from .experiments import Belief, Experiment, PosteriorDistribution, is_bayes_plausible
 from .numerics import solve_lp
 
+# Points per axis of the belief grid, by number of states.
 DEFAULT_RESOLUTION = {2: 2001, 3: 201}
-MIN_RESOLUTION = 101
 SUPPORT_TOL = 1e-10
 # Column generation stops once no grid value exceeds the dual plane by more
 # than PRICING_TOL times max(1, largest |value|).
@@ -107,38 +108,6 @@ ARMIJO = 1e-4
 VERIFY_TOL = 1e-5
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Belief-grid request: points per axis plus extra beliefs to include."""
-
-    resolution: int | None = None
-    augment: tuple = ()
-
-    def __post_init__(self):
-        if self.resolution is not None and self.resolution < MIN_RESOLUTION:
-            raise InputError(f"grid resolution must be at least {MIN_RESOLUTION} points per axis")
-
-    def points_per_axis(self, n_states: int) -> int:
-        if self.resolution is not None:
-            return int(self.resolution)
-        try:
-            return DEFAULT_RESOLUTION[n_states]
-        except KeyError:
-            raise InputError(f"no grid default for {n_states} states") from None
-
-    def to_dict(self) -> dict:
-        return {
-            "resolution": self.resolution,
-            "augment": [np.asarray(b.probs if isinstance(b, Belief) else b).tolist()
-                        for b in self.augment],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GridSpec":
-        return cls(resolution=data.get("resolution"),
-                   augment=tuple(data.get("augment", ())))
-
-
 def simplex_grid(n_states: int, points_per_axis: int) -> np.ndarray:
     """Uniform grid on the belief simplex, vertices included."""
     steps = points_per_axis - 1
@@ -161,13 +130,13 @@ class OracleResult:
 
     ``route`` names the solver that ran.  On the ``"entropy"`` route,
     ``bracket`` is ``(f(q), optimal_value)``: the value of the returned
-    channel and the certified upper bound; no grid is built, so ``grid`` is
-    None and the grid counts are 0.  On the ``"quadratic"`` route
-    ``bracket`` is ``(value of the support, optimal_value)``, whose upper
-    end is the dual bound ``g``; no grid is built, and ``lp_columns`` and
-    ``pricing_rounds`` count the restricted LP's work.  On the ``"grid"``
-    route ``optimal_value`` is the grid optimum, a lower bound on the
-    agent's optimum over all beliefs, and ``bracket`` is None.
+    channel and the certified upper bound; no grid is built, so the grid
+    counts are 0.  On the ``"quadratic"`` route ``bracket`` is ``(value of
+    the support, optimal_value)``, whose upper end is the dual bound ``g``;
+    no grid is built, and ``lp_columns`` and ``pricing_rounds`` count the
+    restricted LP's work.  On the ``"grid"`` route ``optimal_value`` is the
+    grid optimum, a lower bound on the agent's optimum over all beliefs,
+    ``n_grid_points`` counts the beliefs priced, and ``bracket`` is None.
     """
 
     optimal_value: float
@@ -176,7 +145,6 @@ class OracleResult:
     target_value: float | None
     gap: float | None
     route: str
-    grid: GridSpec | None = None
     n_grid_points: int = 0
     lp_columns: int = 0
     pricing_rounds: int = 0
@@ -194,7 +162,6 @@ class OracleResult:
             "n_grid_points": self.n_grid_points,
             "lp_columns": self.lp_columns,
             "pricing_rounds": self.pricing_rounds,
-            "grid": None if self.grid is None else self.grid.to_dict(),
         }
 
 
@@ -601,20 +568,19 @@ def _quadratic_response(utilities: np.ndarray, cost: PosteriorCost, prior: np.nd
 
 
 def _grid_response(utilities: np.ndarray, cost: PosteriorCost, prior: Belief,
-                   grid: GridSpec, target: PosteriorDistribution | None) -> OracleResult:
+                   target: PosteriorDistribution | None) -> OracleResult:
     n = prior.n_states
-    base = simplex_grid(n, grid.points_per_axis(n))
+    if n not in DEFAULT_RESOLUTION:
+        raise InputError(f"the belief grid serves 2 or 3 states, not {n} states")
+    base = simplex_grid(n, DEFAULT_RESOLUTION[n])
     points = [base, prior.probs[None, :]]
     if target is not None:
         points.append(target.posterior_matrix().T)
-    for extra in grid.augment:
-        probs = extra.probs if isinstance(extra, Belief) else np.asarray(extra, dtype=float)
-        points.append(probs[None, :])
     points = np.vstack(points)
 
     values = _net_values(points, utilities, cost)
     finite = np.isfinite(values)
-    # The prior, target and augment rows follow the base grid.  The prior's
+    # The prior and target rows follow the base grid.  The prior's
     # row keeps every restricted LP feasible; where a convex price is
     # infinite at the prior, no mixture of finite-price beliefs reaches it.
     if not finite[base.shape[0]]:
@@ -633,27 +599,27 @@ def _grid_response(utilities: np.ndarray, cost: PosteriorCost, prior: Belief,
         optimal_value=float(values[envelope.active] @ weights),
         support_beliefs=tuple(Belief(p) for p in points[envelope.active[keep]]),
         support_weights=weights[keep] / weights[keep].sum(), target_value=None, gap=None,
-        route="grid", grid=grid, n_grid_points=points.shape[0],
+        route="grid", n_grid_points=points.shape[0],
         lp_columns=int(envelope.active.size), pricing_rounds=envelope.rounds,
     )
 
 
 def agent_best_response(e_p: Experiment, t: Contract, cost: PosteriorCost,
-                        prior: Belief, grid: GridSpec | None = None,
-                        target: PosteriorDistribution | None = None) -> OracleResult:
+                        prior: Belief, target: PosteriorDistribution | None = None) -> OracleResult:
     """Solve the agent's learning problem under contract ``t``.
 
     A cost built by ``entropy_cost`` takes the certified
     rational-inattention route and one built by ``quadratic_cost`` the
-    certified projection route, both at any number of states, and ``grid``
-    is not used.  The route is chosen from the cost's labels (``kind ==
-    "entropy"`` with a ``log_base`` param, or ``kind == "quadratic"`` with
-    a ``scale`` param), which promise those prices; a cost that carries the
-    labels over other prices is solved as if it had the labelled prices.
-    Any other cost is solved on the belief grid at 2 or 3 states: the net
-    value of the best report at every grid belief, and its best expectation
-    over grid distributions averaging back to the prior (an LP, solved by
-    column generation).  Returns the achieving support and, for a target,
+    certified projection route, both at any number of states.  The route
+    is chosen from the cost's labels (``kind == "entropy"`` with a
+    ``log_base`` param, or ``kind == "quadratic"`` with a ``scale`` param),
+    which promise those prices; a cost that carries the labels over other
+    prices is solved as if it had the labelled prices.  Any other cost is
+    solved on the fixed belief grid at 2 or 3 states (``InputError``
+    otherwise): the net value of the best report at every grid belief, and
+    its best expectation over grid distributions averaging back to the
+    prior (an LP, solved by column generation), a lower bound on the
+    agent's optimum.  Returns the achieving support and, for a target,
     how far its value falls short of the optimum.  A target holds one
     posterior per contract column, on the experiment's states
     (``DimensionMismatchError`` otherwise), averages back to ``prior``
@@ -678,7 +644,7 @@ def agent_best_response(e_p: Experiment, t: Contract, cost: PosteriorCost,
     elif route == "quadratic":
         result = _quadratic_response(utilities, cost, prior.probs, scale, target)
     else:
-        result = _grid_response(utilities, cost, prior, grid or GridSpec(), target)
+        result = _grid_response(utilities, cost, prior, target)
     if target is None:
         return result
     interim = target.posterior_matrix().T @ utilities      # K x K
@@ -689,15 +655,16 @@ def agent_best_response(e_p: Experiment, t: Contract, cost: PosteriorCost,
 
 
 def verify_contract(e_p: Experiment, target: PosteriorDistribution,
-                    cost: PosteriorCost, t: Contract,
-                    grid: GridSpec | None = None) -> bool:
+                    cost: PosteriorCost, t: Contract) -> bool:
     """True iff the prescribed target comes within ``VERIFY_TOL`` times
     ``max(1, spread)`` of the agent's optimum under the contract (honest
     reports at its own posteriors), where ``spread`` is the largest range
     across reports of a row of ``kernel @ payments``.
 
     Under an entropy or quadratic cost the optimum is the certified upper
-    bound, so a pass is sound; on the grid route it is the grid optimum."""
-    result = agent_best_response(e_p, t, cost, prior=cost.prior, grid=grid, target=target)
+    bound, so a pass is sound.  On the grid route it is the grid optimum, a
+    lower bound, so a pass is not sound: a belief off the grid may pay the
+    agent more than the target."""
+    result = agent_best_response(e_p, t, cost, prior=cost.prior, target=target)
     spread = float(np.ptp(e_p.kernel @ t.payments, axis=1).max())
     return bool(result.gap <= VERIFY_TOL * max(1.0, spread))

@@ -8,7 +8,7 @@ so agreement is a genuine two-route check.
 
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from types import SimpleNamespace
 
 import numpy as np
@@ -305,22 +305,23 @@ def full_rank_corner_instance(rng, n, n_corner):
     return Experiment(kernel), target, quadratic_cost(Belief(prior), scale=rng.uniform(0.5, 2.0))
 
 
-def grid_lp_best_response(e_p, contract, cost, prior, grid=None, target=None) -> float:
-    """The agent's grid optimum as one LP over every grid belief, posed
-    straight to scipy: the same grid and net values as the oracle, with no
-    column generation.  Returns the optimal value.
+def grid_lp_best_response(e_p, contract, cost, prior, points_per_axis, extra=(),
+                          target=None) -> float:
+    """The agent's optimum over a uniform belief grid of ``points_per_axis``
+    points per axis, plus the prior, the target's posteriors and the
+    ``extra`` beliefs, as one LP over every belief posed straight to scipy,
+    with no column generation.  The grid is built here, cell by cell, not
+    by the library.  Returns the optimal value.
 
     HiGHS's default feasibility tolerances (1e-7) can stop this LP up to
     ~1e-8 below its optimum on 2-state grids of 2001 points, so they are
     tightened to 1e-10."""
-    from infocontracts import GridSpec, simplex_grid
-
-    grid = grid or GridSpec()
-    n = e_p.n_states
-    points = [simplex_grid(n, grid.points_per_axis(n)), prior.probs[None, :]]
+    steps = points_per_axis - 1
+    cells = [c for c in product(range(steps + 1), repeat=e_p.n_states - 1) if sum(c) <= steps]
+    points = [np.array([(*c, steps - sum(c)) for c in cells]) / steps, prior.probs[None, :]]
     if target is not None:
         points.append(target.posterior_matrix().T)
-    points += [np.asarray(getattr(b, "probs", b), dtype=float)[None, :] for b in grid.augment]
+    points += [b.probs[None, :] for b in extra]
     points = np.vstack(points)
     values = (points @ e_p.kernel @ contract.payments).max(axis=1) - cost.value_many(points)
     finite = np.isfinite(values)

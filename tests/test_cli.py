@@ -230,7 +230,7 @@ def test_oracle_command(runner, tmp_path):
     assert result.exit_code == 0, result.output
     payload = json.loads(result.output)
     assert payload["gap"] is not None
-    assert payload["route"] == "quadratic" and payload["grid"] is None
+    assert payload["route"] == "quadratic" and "grid" not in payload
     lower, upper = payload["bracket"]
     assert upper == payload["optimal_value"]
     assert 0.0 <= upper - lower <= CERTIFICATE_TOL * max(1.0, abs(lower))

@@ -20,7 +20,6 @@ from infocontracts import (
     Contract,
     DimensionMismatchError,
     Experiment,
-    GridSpec,
     InputError,
     NotImplementableError,
     PosteriorDistribution,
@@ -58,13 +57,6 @@ def test_simplex_grid_shapes():
     np.testing.assert_allclose(three.sum(axis=1), 1.0, atol=1e-12)
     with pytest.raises(InputError):
         simplex_grid(4, 101)
-
-
-def test_grid_spec_validation():
-    with pytest.raises(InputError):
-        GridSpec(resolution=50).points_per_axis(2)
-    assert GridSpec().points_per_axis(2) == 2001
-    assert GridSpec().points_per_axis(3) == 201
 
 
 def test_zero_contract_means_no_learning(binary_instance):
@@ -196,13 +188,13 @@ def test_optimum_at_least_value_of_no_learning(binary_instance):
         assert result.optimal_value >= stay_put - 1e-9
 
 
-def test_grid_refinement_converges(binary_instance):
+def test_grid_refinement_converges(binary_instance, monkeypatch):
     prior, cost, target = binary_instance
     report = optimal_contract(BINARY, target, cost)
-    coarse = agent_best_response(BINARY, report.contract, grid_priced(cost), prior,
-                                 grid=GridSpec(resolution=501), target=target)
-    fine = agent_best_response(BINARY, report.contract, grid_priced(cost), prior,
-                               grid=GridSpec(resolution=1001), target=target)
+    monkeypatch.setitem(oracle.DEFAULT_RESOLUTION, 2, 501)
+    coarse = agent_best_response(BINARY, report.contract, grid_priced(cost), prior, target=target)
+    monkeypatch.setitem(oracle.DEFAULT_RESOLUTION, 2, 1001)
+    fine = agent_best_response(BINARY, report.contract, grid_priced(cost), prior, target=target)
     assert abs(fine.optimal_value - coarse.optimal_value) <= max(coarse.gap, 1e-9) + 1e-9
 
 
@@ -226,8 +218,7 @@ def test_three_state_oracle_confirms_corner_synthesis():
         except NotImplementableError:
             continue
         member = family.member()
-        result = agent_best_response(e, member, cost, cost.prior,
-                                     grid=GridSpec(resolution=151), target=target)
+        result = agent_best_response(e, member, cost, cost.prior, target=target)
         assert result.gap <= 1e-5
         cases += 1
 
@@ -247,18 +238,16 @@ def test_positive_verdicts_round_trip_through_synthesis_and_oracle():
             prior = random_interior_prior(rng, 2)
             cost = entropy_cost(prior)
             target = random_binary_target(rng, prior)
-            grid = GridSpec()
         else:
             kernel = random_stochastic(rng, 3, 2)
             e = Experiment(kernel)
             target, cost = tilted_implementable_target(rng, kernel)
-            grid = GridSpec(resolution=151)
         if not check_implementable(e, target, cost).implementable:
             continue
         family = synthesize_family(e, target, cost)
         member = family.sample_member(rng)
         assert family.foc_deviation(member) <= 1e-9
-        assert verify_contract(e, target, cost, member, grid=grid)
+        assert verify_contract(e, target, cost, member)
         confirmed += 1
 
 
@@ -283,23 +272,11 @@ def test_everywhere_infinite_cost_is_an_error():
                             impossible, prior)
 
 
-def test_grid_augmentation_and_spec_round_trip(binary_instance):
-    prior, cost, target = binary_instance
-    special = Belief([0.123, 0.877])
-    grid = GridSpec(resolution=101, augment=(special,))
-    assert GridSpec.from_dict(grid.to_dict()).resolution == 101
-    report = optimal_contract(BINARY, target, cost)
-    result = agent_best_response(BINARY, report.contract, grid_priced(cost), prior,
-                                 grid=grid, target=target)
-    # augmented points participate: grid carries base + prior + target + extra
-    assert result.n_grid_points == 101 + 1 + 2 + 1
-
-
 def _grid_cases():
-    """(experiment, contract, cost, prior, grid, target) over every regime
-    the column-generation route must match the full grid LP on."""
+    """(experiment, contract, cost, prior, points per axis, target) over
+    every regime the column-generation route must match the full grid LP on."""
     rng = np.random.default_rng(41)
-    coarse = GridSpec(resolution=101)
+    coarse = 101
     cases = []
     for _ in range(4):           # 3 states, Dirichlet priors, random contracts
         prior = Belief(rng.dirichlet(np.full(3, 2.0)))
@@ -312,7 +289,7 @@ def _grid_cases():
         cost = grid_priced(entropy_cost(prior) if rng.random() < 0.5
                            else quadratic_cost(prior, rng.uniform(0.5, 2)))
         e = Experiment(random_stochastic(rng, 2, 3))
-        cases.append((e, Contract(rng.uniform(0, 2, (3, 2))), cost, prior, GridSpec(), None))
+        cases.append((e, Contract(rng.uniform(0, 2, (3, 2))), cost, prior, 2001, None))
     for _ in range(3):           # rank-deficient equal-row kernels, optimal contracts
         e, target, cost = equal_rows_instance(rng)
         contract = optimal_contract(e, target, cost).contract
@@ -321,10 +298,6 @@ def _grid_cases():
         e, target, cost = corner_multiplier_instance(rng)
         contract = optimal_contract(e, target, cost).contract
         cases.append((e, contract, grid_priced(cost), cost.prior, coarse, target))
-    e, target, cost = equal_rows_instance(rng)   # augment beliefs off the grid
-    extra = (Belief([0.1234, 0.4321, 0.4445]), Belief([0.7071, 0.1, 0.1929]))
-    cases.append((e, Contract(rng.uniform(0, 2, (3, 3))), grid_priced(cost), cost.prior,
-                  GridSpec(resolution=101, augment=extra), target))
     prior = Belief([0.3, 0.3, 0.4])              # infinite price where mu_1 > 0.8
     walled = custom_cost(
         prior, lambda mu: np.inf if mu[0] > 0.8 else float(np.sum((mu - prior.probs) ** 2)),
@@ -337,10 +310,11 @@ def _grid_cases():
 
 
 @pytest.mark.parametrize("case", _grid_cases())
-def test_column_generation_matches_the_full_grid_lp(case):
-    e, contract, cost, prior, grid, target = case
-    result = agent_best_response(e, contract, cost, prior, grid=grid, target=target)
-    full = grid_lp_best_response(e, contract, cost, prior, grid=grid, target=target)
+def test_column_generation_matches_the_full_grid_lp(case, monkeypatch):
+    e, contract, cost, prior, points, target = case
+    monkeypatch.setitem(oracle.DEFAULT_RESOLUTION, e.n_states, points)
+    result = agent_best_response(e, contract, cost, prior, target=target)
+    full = grid_lp_best_response(e, contract, cost, prior, points, target=target)
     assert result.route == "grid"
     assert abs(result.optimal_value - full) <= 1e-9
     weights = result.support_weights
@@ -389,7 +363,8 @@ def test_pricing_certifies_an_optimum_outside_the_starting_set(monkeypatch):
     assert excess <= tol
     payments = np.diag([5.0, 1.0])
     full = grid_lp_best_response(Experiment(np.eye(2)), Contract(payments),
-                                 grid_priced(entropy_cost(prior)), prior)
+                                 grid_priced(entropy_cost(prior)), prior,
+                                 oracle.DEFAULT_RESOLUTION[2])
     assert abs(result.optimal_value - full) <= 1e-9
 
 
@@ -398,10 +373,10 @@ def test_flat_envelope_is_certified_at_the_prior(monkeypatch, payments):
     # A zero or report-independent contract pays an affine function of the
     # belief, so the net value is concave and the agent stays at the prior.
     seen = _spy_envelope(monkeypatch)
+    monkeypatch.setitem(oracle.DEFAULT_RESOLUTION, 3, 101)
     prior = Belief([0.2, 0.5, 0.3])
     e = Experiment([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.2, 0.7]])
-    result = agent_best_response(e, Contract(payments), grid_priced(entropy_cost(prior)), prior,
-                                 grid=GridSpec(resolution=101))
+    result = agent_best_response(e, Contract(payments), grid_priced(entropy_cost(prior)), prior)
     assert result.optimal_value == pytest.approx(float(prior.probs @ e.kernel @ payments[:, 0]),
                                                  abs=1e-12)
     assert len(result.support_beliefs) == 1
@@ -421,12 +396,12 @@ def test_result_reports_columns_and_rounds(binary_instance):
     assert result.lp_columns < result.n_grid_points
 
 
-def test_three_state_solve_at_401_points_per_axis_stays_small():
+def test_three_state_solve_at_401_points_per_axis_stays_small(monkeypatch):
     rng = np.random.default_rng(43)
     e, target, cost = equal_rows_instance(rng)
     contract = optimal_contract(e, target, cost).contract
-    result = agent_best_response(e, contract, grid_priced(cost), cost.prior,
-                                 grid=GridSpec(resolution=401), target=target)
+    monkeypatch.setitem(oracle.DEFAULT_RESOLUTION, 3, 401)
+    result = agent_best_response(e, contract, grid_priced(cost), cost.prior, target=target)
     assert result.n_grid_points == 401 * 402 // 2 + 1 + target.size
     assert result.lp_columns <= 1000
     assert -1e-9 <= result.gap <= 1e-6
@@ -516,8 +491,8 @@ def test_entropy_route_brackets_the_grid_lp(case):
     assert lower - 1e-10 * scale <= value <= upper + 1e-10 * scale
     # A grid optimum is a lower bound on the agent's optimum, and a grid
     # that also holds the support is worth at least the support.
-    grid = GridSpec(resolution=2001 if e.n_states == 2 else 101, augment=result.support_beliefs)
-    full = grid_lp_best_response(e, contract, cost, prior, grid=grid)
+    full = grid_lp_best_response(e, contract, cost, prior, 2001 if e.n_states == 2 else 101,
+                                 extra=result.support_beliefs)
     assert lower - 1e-9 <= full <= upper + 1e-9
 
 
@@ -573,11 +548,10 @@ def test_entropy_route_builds_no_grid_and_runs_no_lp(binary_instance, monkeypatc
     monkeypatch.setattr(oracle, "simplex_grid", counted("simplex_grid", oracle.simplex_grid))
     monkeypatch.setattr(numerics, "linprog", counted("linprog", numerics.linprog))
     contract = Contract([[4.0, 0.0], [0.0, 3.0]])
-    result = agent_best_response(BINARY, contract, cost, prior, grid=GridSpec(resolution=501),
-                                 target=target)
+    result = agent_best_response(BINARY, contract, cost, prior, target=target)
     assert calls == []
     payload = result.to_dict()
-    assert payload["route"] == "entropy" and payload["grid"] is None
+    assert payload["route"] == "entropy" and "grid" not in payload
     assert payload["bracket"] == list(result.bracket)
     assert payload["n_grid_points"] == payload["lp_columns"] == payload["pricing_rounds"] == 0
     agent_best_response(BINARY, contract, grid_priced(cost), prior)
@@ -626,7 +600,7 @@ def _certified_quadratic_response(e, contract, cost, prior, target):
     bracket, and a support that averages to the prior and is worth its lower
     end when the agent's value is recomputed here."""
     result = agent_best_response(e, contract, cost, prior, target=target)
-    assert result.route == "quadratic" and result.grid is None and result.n_grid_points == 0
+    assert result.route == "quadratic" and result.n_grid_points == 0
     lower, upper = result.bracket
     assert upper == result.optimal_value
     assert 0.0 <= upper - lower <= oracle.CERTIFICATE_TOL * max(1.0, abs(lower))
@@ -648,10 +622,10 @@ def test_quadratic_route_brackets_the_grid_lp(case):
     # Every grid distribution is worth at most the certified bound.  At 3
     # states the grid also holds the support, which a coarse grid misses.
     if e.n_states == 2:
-        grid = GridSpec(resolution=2001)
+        full = grid_lp_best_response(e, contract, cost, prior, 2001, target=target)
     else:
-        grid = GridSpec(resolution=101, augment=result.support_beliefs)
-    full = grid_lp_best_response(e, contract, cost, prior, grid=grid, target=target)
+        full = grid_lp_best_response(e, contract, cost, prior, 101,
+                                     extra=result.support_beliefs, target=target)
     assert -1e-12 <= upper - full <= 1e-5
 
 
