@@ -6,7 +6,7 @@ payment net of the information cost.  Its value is the upper concave
 envelope of the net value at the prior (concavification, Kamenica &
 Gentzkow 2011).  No pseudo-inverse, no first-order condition: agreement
 with the synthesis machinery is therefore a genuine two-route check.
-Three routes solve the problem.
+Three routes solve the problem, chosen by the cost.
 
 Costs built by :func:`~infocontracts.costs.entropy_cost` take an exact
 route at any number of states.  The problem is then rational inattention
@@ -25,8 +25,14 @@ channel's posteriors ``mu_x = mu0 * exp(u_x / s) / (z D_x)`` at weights
 ``q_x D_x``: they average to the prior exactly and are worth at least
 ``f(q)``, the lower end of the reported bracket.
 
+The other two routes share one column-generation loop: a restricted LP
+mixes a few beliefs (columns) into the prior, and its dual is a plane over
+the simplex above their values.  Each round the route's price response
+certifies a result or names beliefs above the plane, which join the
+columns, for at most ``MAX_ROUNDS`` rounds.
+
 Costs built by :func:`~infocontracts.costs.quadratic_cost` take an exact
-route at any number of states too.  With cost prior ``a`` and scale ``s``,
+route at any number of states.  With cost prior ``a`` and scale ``s``,
 report ``k``'s best posterior against a multiplier ``lam`` is the Euclidean
 projection ``m_k = proj(a + (u_k - lam) / (2 s))`` onto the simplex, worth
 ``h_k = m_k @ (u_k - lam) - s ||m_k - a||^2``, and by weak duality every
@@ -34,31 +40,23 @@ projection ``m_k = proj(a + (u_k - lam) / (2 s))`` onto the simplex, worth
 Semismooth Newton steps on the KKT system (``sum_A w_k m_k = mu0``,
 ``h_k = t`` on the active reports ``A``) polish the multiplier, the
 posteriors and their weights, and the solve stops once ``g`` is within
-``CERTIFICATE_TOL`` of the polished support's value.  ``optimal_value`` is
-``g``; the support's value is the lower end of the bracket.  With a target
-the first polish starts from the multiplier fitted to its posteriors,
-every report active at its weights, and an optimal target is certified
-with no LP.  Otherwise a restricted LP over the prior, the simplex
-vertices, the target's posteriors and each ``m_k(0)`` picks the reports to
-play, and, until the polish certifies, the posteriors above the LP's plane
-join it, for at most ``QUADRATIC_ROUNDS`` rounds.
+``CERTIFICATE_TOL * max(1, |value|, max|u|)`` of the polished support's
+value, the lower end of the bracket; the value can cancel to near zero from
+terms of size ``max|u|``.  ``optimal_value`` is ``g``.  A target is tried
+first, from the multiplier fitted to its posteriors, so an optimal one is
+certified with no LP.  Otherwise the loop polishes each LP's support, and
+the price response is each ``m_k`` at the plane's slope that lies above the
+plane, with the polished supports.
 
-Every other cost is solved at 2 or 3 states on a fixed belief grid of
-``DEFAULT_RESOLUTION`` points per axis (2001 at 2 states, 201 at 3):
-evaluate the net payoff of the best report at every grid belief, then find
-the best mean-preserving mixture of grid beliefs by LP.  The envelope at the
-prior is supported by at most N + 1 beliefs, so the grid LP is solved by
-column generation.  A restricted LP runs over a small active set of grid
-beliefs: the prior, the target's posteriors, the simplex vertices and the
-highest-value beliefs.  Its dual is a plane over the simplex; every grid
-belief is priced against it, the worst violators join the active set, and
-the loop repeats until no grid value exceeds the plane by more than
-``PRICING_TOL``.  By weak duality the restricted optimum is then the
-optimum over the whole grid, to that tolerance.  It is only a lower bound
-on the agent's optimum over all beliefs, so a passing ``verify_contract``
-on this route is not sound: a better belief off the grid may exist.  The
-grid always includes the prior and, when supplied, the target's
-posteriors, so a prescribed target is exactly representable.
+Every other cost is solved at 2 or 3 states on a fixed grid of
+``DEFAULT_RESOLUTION`` points per axis (2001 at 2 states, 201 at 3), the
+prior and the target's posteriors, valued once per call.  The price response
+is the ``PRICING_BATCH`` grid beliefs furthest above the plane, each at
+most once; once none lies ``PRICING_TOL`` above it, the restricted optimum
+is by weak duality the grid optimum, to that tolerance (or the prior's own
+value, where HiGHS's dual tolerance left the LP under it).  That is only a
+lower bound on the agent's optimum, so a passing ``verify_contract`` on this
+route is not sound: a better belief off the grid may exist.
 """
 
 from __future__ import annotations
@@ -78,21 +76,20 @@ from .numerics import solve_lp
 # Points per axis of the belief grid, by number of states.
 DEFAULT_RESOLUTION = {2: 2001, 3: 201}
 SUPPORT_TOL = 1e-10
-# Column generation stops once no grid value exceeds the dual plane by more
-# than PRICING_TOL times max(1, largest |value|).
+# A belief joins the columns once its value exceeds the dual plane by more
+# than PRICING_TOL times max(1, largest |value|), at most PRICING_BATCH grid
+# beliefs a round, for at most MAX_ROUNDS restricted LPs.
 PRICING_TOL = 1e-10
-# Grid beliefs added per pricing round, and highest-value beliefs in the
-# starting active set.
 PRICING_BATCH = 32
+MAX_ROUNDS = 20
 # The entropy route stops once its upper bound exceeds f(q) by at most
 # CERTIFICATE_TOL times max(1, |f(q)|), and fails past MAX_ITERATIONS.
 CERTIFICATE_TOL = 1e-12
 MAX_ITERATIONS = 500
-# The quadratic route stops on the same certificate and fails past
-# QUADRATIC_ROUNDS restricted LPs.  Each round polishes the LP's solution by
-# at most NEWTON_STEPS Newton steps, each halved down to NEWTON_MIN_STEP
-# until it cuts the KKT residual by ARMIJO times its length.
-QUADRATIC_ROUNDS = 20
+# The quadratic route stops on the same certificate, relative to
+# max(1, |value|, max|u|), after at most NEWTON_STEPS Newton steps a round,
+# each halved down to NEWTON_MIN_STEP until it cuts the KKT residual by
+# ARMIJO times its length.
 NEWTON_STEPS = 30
 NEWTON_MIN_STEP = 1e-3
 # A report leaves the support once its probability falls below DROP_TOL
@@ -128,15 +125,16 @@ class OracleResult:
     """The agent's optimum under a contract and, if a target was supplied,
     how far that target falls short of it.
 
-    ``route`` names the solver that ran.  On the ``"entropy"`` route,
-    ``bracket`` is ``(f(q), optimal_value)``: the value of the returned
-    channel and the certified upper bound; no grid is built, so the grid
-    counts are 0.  On the ``"quadratic"`` route ``bracket`` is ``(value of
-    the support, optimal_value)``, whose upper end is the dual bound ``g``;
-    no grid is built, and ``lp_columns`` and ``pricing_rounds`` count the
-    restricted LP's work.  On the ``"grid"`` route ``optimal_value`` is the
-    grid optimum, a lower bound on the agent's optimum over all beliefs,
-    ``n_grid_points`` counts the beliefs priced, and ``bracket`` is None.
+    ``route`` names the solver that ran; ``lp_columns`` and
+    ``pricing_rounds`` count the columns of the last restricted LP and the
+    LPs run.  On the ``"entropy"`` route, ``bracket`` is ``(f(q),
+    optimal_value)``: the value of the returned channel and the certified
+    upper bound.  On the ``"quadratic"`` route ``bracket`` is ``(value of
+    the support, optimal_value)``, whose upper end is the dual bound ``g``.
+    On the ``"grid"`` route ``optimal_value`` is the grid optimum, a lower
+    bound on the agent's optimum over all beliefs, ``n_grid_points`` counts
+    the grid beliefs of finite price, the prior and the target's posteriors
+    (0 on the other routes), and ``bracket`` is None.
     """
 
     optimal_value: float
@@ -170,17 +168,6 @@ def _net_values(points: np.ndarray, utilities: np.ndarray, cost: PosteriorCost) 
     return payoff.max(axis=1) - cost.value_many(points)
 
 
-class _Envelope(NamedTuple):
-    """Outcome of column generation: the final active grid indices, the
-    restricted LP's weights on them, the dual plane (``[belief, 1] @ plane``
-    lies above every grid value to ``PRICING_TOL``) and the rounds run."""
-
-    active: np.ndarray
-    weights: np.ndarray
-    plane: np.ndarray
-    rounds: int
-
-
 def _restricted_lp(points: np.ndarray, values: np.ndarray, prior: np.ndarray):
     """Weights ``w >= 0`` maximizing ``values @ w`` with ``points.T @ w =
     prior`` and ``sum(w) = 1``, and the dual plane: ``[belief, 1] @ plane``
@@ -201,27 +188,28 @@ def _restricted_lp(points: np.ndarray, values: np.ndarray, prior: np.ndarray):
     return weights, plane
 
 
-def _concavify(points: np.ndarray, values: np.ndarray, prior: np.ndarray,
-               start: np.ndarray) -> _Envelope:
-    """Maximize ``values @ w`` over ``w >= 0`` with ``points.T @ w = prior``
-    and ``sum(w) = 1`` by column generation from the ``start`` indices,
-    which must hold a belief equal to the prior so that every restricted LP
-    is feasible.  Each round adds at least one new column, so the loop ends."""
-    lifted = np.column_stack([points, np.ones(points.shape[0])])
-    tol = PRICING_TOL * max(1.0, float(np.abs(values).max()))
-    active = np.unique(start)
-    rounds = 0
-    while True:
-        rounds += 1
-        weights, plane = _restricted_lp(points[active], values[active], prior)
-        excess = values - lifted @ plane
-        excess[active] = -np.inf
-        entering = np.flatnonzero(excess > tol)
-        if entering.size == 0:
-            return _Envelope(active, weights, plane, rounds)
-        if entering.size > PRICING_BATCH:
-            entering = entering[np.argpartition(excess[entering], -PRICING_BATCH)[-PRICING_BATCH:]]
-        active = np.concatenate([active, entering])
+def _column_generation(utilities: np.ndarray, cost: PosteriorCost, prior: np.ndarray,
+                       seeds: list[np.ndarray], respond) -> OracleResult:
+    """The concavification at ``prior`` by column generation (module
+    docstring) from the prior, which keeps every LP feasible, the simplex
+    vertices and the ``seeds`` (rows), less any of infinite price.
+    ``respond(columns, values, weights, plane, rounds)`` returns the route's
+    result once certified, else the beliefs that join and their values."""
+    columns = np.vstack([prior[None, :], np.eye(prior.size), *seeds])
+    values = _net_values(columns, utilities, cost)
+    # Where a convex price is infinite at the prior, no mixture of
+    # finite-price beliefs reaches it.
+    if not np.isfinite(values[0]):
+        raise InputError("the cost is infinite at the prior")
+    finite = np.isfinite(values)
+    columns, values = columns[finite], values[finite]
+    for rounds in range(1, MAX_ROUNDS + 1):
+        weights, plane = _restricted_lp(columns, values, prior)
+        answer = respond(columns, values, weights, plane, rounds)
+        if isinstance(answer, OracleResult):
+            return answer
+        columns, values = np.vstack([columns, answer[0]]), np.concatenate([values, answer[1]])
+    raise SolverFailureError(f"the best response was not certified within {MAX_ROUNDS} rounds")
 
 
 def _route(cost: PosteriorCost) -> tuple[str, float | None]:
@@ -509,7 +497,8 @@ def _quadratic_response(utilities: np.ndarray, cost: PosteriorCost, prior: np.nd
     ``CERTIFICATE_TOL * max(1, max|u| / scale)``, the rounding of the
     priced posteriors."""
     anchor, n = cost.prior.probs, prior.size
-    mean_tol = CERTIFICATE_TOL * max(1.0, float(np.abs(utilities).max()) / scale)
+    largest = float(np.abs(utilities).max())
+    mean_tol = CERTIFICATE_TOL * max(1.0, largest / scale)
 
     def certified(lam: np.ndarray, active: np.ndarray, weights: np.ndarray,
                   lp_columns: int, rounds: int) -> tuple[OracleResult | None, np.ndarray]:
@@ -524,7 +513,7 @@ def _quadratic_response(utilities: np.ndarray, cost: PosteriorCost, prior: np.nd
         # Rounding can leave g a few ulps under the value it bounds.
         upper = max(float(prior @ point.lam + h.max()), lower)
         if (np.abs(mass @ support - prior).max() > mean_tol
-                or upper - lower > CERTIFICATE_TOL * max(1.0, abs(lower))):
+                or upper - lower > CERTIFICATE_TOL * max(1.0, abs(lower), largest)):
             return None, support
         points, mass = _merge_coincident(support[mass > 0.0], mass[mass > 0.0])
         return OracleResult(
@@ -533,19 +522,7 @@ def _quadratic_response(utilities: np.ndarray, cost: PosteriorCost, prior: np.nd
             lp_columns=lp_columns, pricing_rounds=rounds, bracket=(lower, upper),
         ), support
 
-    columns = [prior[None, :], np.eye(n), _priced(utilities, anchor, scale, np.zeros(n))[0]]
-    if target is not None:
-        posts = target.posterior_matrix().T
-        every = np.arange(posts.shape[0])
-        result, _ = certified(_fitted_multiplier(utilities, anchor, scale, posts, every),
-                              every, target.weights, 0, 0)
-        if result is not None:
-            return result
-        columns.append(posts)
-    columns = np.vstack(columns)
-    for rounds in range(1, QUADRATIC_ROUNDS + 1):
-        values = _net_values(columns, utilities, cost)
-        lp_weights, plane = _restricted_lp(columns, values, prior)
+    def respond(columns, values, lp_weights, plane, rounds):
         slope, level = plane[:-1] - plane[:-1].mean(), plane[-1] + plane[:-1].mean()
         on = lp_weights > 0.0
         active, played = np.unique(np.argmax(columns[on] @ utilities, axis=1),
@@ -562,46 +539,67 @@ def _quadratic_response(utilities: np.ndarray, cost: PosteriorCost, prior: np.nd
             tried.append(support)
         priced, gain = _priced(utilities, anchor, scale, slope)
         above = gain > level + PRICING_TOL * max(1.0, float(np.abs(values).max()))
-        columns = np.vstack([columns, priced[above], *tried])
-    raise SolverFailureError(
-        f"the quadratic best response was not certified within {QUADRATIC_ROUNDS} rounds")
+        entering = np.vstack([priced[above], *tried])
+        return entering, _net_values(entering, utilities, cost)
+
+    seeds = [_priced(utilities, anchor, scale, np.zeros(n))[0]]
+    if target is not None:
+        posts = target.posterior_matrix().T
+        every = np.arange(posts.shape[0])
+        result, _ = certified(_fitted_multiplier(utilities, anchor, scale, posts, every),
+                              every, target.weights, 0, 0)
+        if result is not None:
+            return result
+        seeds.append(posts)
+    return _column_generation(utilities, cost, prior, seeds, respond)
 
 
 def _grid_response(utilities: np.ndarray, cost: PosteriorCost, prior: Belief,
                    target: PosteriorDistribution | None) -> OracleResult:
+    """The grid route (module docstring); its price response at the zero
+    plane, the highest-value grid beliefs, seeds the columns."""
     n = prior.n_states
     if n not in DEFAULT_RESOLUTION:
         raise InputError(f"the belief grid serves 2 or 3 states, not {n} states")
-    base = simplex_grid(n, DEFAULT_RESOLUTION[n])
-    points = [base, prior.probs[None, :]]
-    if target is not None:
-        points.append(target.posterior_matrix().T)
-    points = np.vstack(points)
-
+    posts = [] if target is None else [target.posterior_matrix().T]
+    points = simplex_grid(n, DEFAULT_RESOLUTION[n])
     values = _net_values(points, utilities, cost)
     finite = np.isfinite(values)
-    # The prior and target rows follow the base grid.  The prior's
-    # row keeps every restricted LP feasible; where a convex price is
-    # infinite at the prior, no mixture of finite-price beliefs reaches it.
-    if not finite[base.shape[0]]:
-        raise InputError("the cost is infinite at the prior")
-    seeded = np.zeros(points.shape[0], dtype=bool)
-    seeded[base.shape[0]:] = True
-    seeded[:base.shape[0]] = base.max(axis=1) == 1.0        # simplex vertices
     points, values = points[finite], values[finite]
-    top = min(PRICING_BATCH, values.size)
-    start = np.concatenate([np.flatnonzero(seeded[finite]),
-                            np.argpartition(values, -top)[-top:]])
-    envelope = _concavify(points, values, prior.probs, start)
-    weights = envelope.weights
-    keep = weights > SUPPORT_TOL
-    return OracleResult(
-        optimal_value=float(values[envelope.active] @ weights),
-        support_beliefs=tuple(Belief(p) for p in points[envelope.active[keep]]),
-        support_weights=weights[keep] / weights[keep].sum(), target_value=None, gap=None,
-        route="grid", n_grid_points=points.shape[0],
-        lp_columns=int(envelope.active.size), pricing_rounds=envelope.rounds,
-    )
+    lifted = np.column_stack([points, np.ones(points.shape[0])])
+    tol = PRICING_TOL * float(np.abs(values).max(initial=1.0))
+    # Columns never rejoin: HiGHS's dual tolerance can leave one above the
+    # plane.  The simplex vertices start among them.
+    taken = points.max(axis=1) == 1.0
+
+    def above(plane: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        excess = values - lifted @ plane
+        excess[taken] = -np.inf
+        entering = np.flatnonzero(excess > tol)
+        if entering.size > PRICING_BATCH:
+            entering = entering[np.argpartition(excess[entering], -PRICING_BATCH)[-PRICING_BATCH:]]
+        taken[entering] = True
+        return points[entering], values[entering]
+
+    def respond(columns, column_values, weights, plane, rounds):
+        entering = above(plane)
+        if entering[0].size:
+            return entering
+        # HiGHS's dual tolerance can leave a chord of two grid beliefs beside
+        # the prior up to ~1e-7 under the prior's own value (the first column).
+        if column_values[0] > column_values @ weights:
+            weights = (np.arange(columns.shape[0]) == 0).astype(float)
+        keep = weights > SUPPORT_TOL
+        return OracleResult(
+            optimal_value=float(column_values @ weights),
+            support_beliefs=tuple(Belief(p) for p in columns[keep]),
+            support_weights=weights[keep] / weights[keep].sum(), target_value=None, gap=None,
+            route="grid", n_grid_points=points.shape[0] + 1 + sum(map(len, posts)),
+            lp_columns=columns.shape[0], pricing_rounds=rounds,
+        )
+
+    return _column_generation(utilities, cost, prior.probs, [above(np.zeros(n + 1))[0], *posts],
+                              respond)
 
 
 def agent_best_response(e_p: Experiment, t: Contract, cost: PosteriorCost,
@@ -616,14 +614,12 @@ def agent_best_response(e_p: Experiment, t: Contract, cost: PosteriorCost,
     which promise those prices; a cost that carries the labels over other
     prices is solved as if it had the labelled prices.  Any other cost is
     solved on the fixed belief grid at 2 or 3 states (``InputError``
-    otherwise): the net value of the best report at every grid belief, and
-    its best expectation over grid distributions averaging back to the
-    prior (an LP, solved by column generation), a lower bound on the
-    agent's optimum.  Returns the achieving support and, for a target,
-    how far its value falls short of the optimum.  A target holds one
-    posterior per contract column, on the experiment's states
-    (``DimensionMismatchError`` otherwise), averages back to ``prior``
-    (``InputError`` otherwise), and is where the exact routes start.
+    otherwise), a lower bound on the agent's optimum.  Returns the
+    achieving support and, for a target, how far its value falls short of
+    the optimum.  A target holds one posterior per contract column, on the
+    experiment's states (``DimensionMismatchError`` otherwise), averages
+    back to ``prior`` (``InputError`` otherwise), and is where the exact
+    routes start.
     """
     if prior.n_states != e_p.n_states:
         raise DimensionMismatchError("prior does not match the experiment")

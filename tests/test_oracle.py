@@ -153,6 +153,28 @@ def test_a_large_realization_bonus_does_not_widen_the_verify_tolerance():
     assert not verify_contract(e, other, cost, member)
 
 
+@pytest.mark.parametrize("scale", [1e5, 1e7])
+@pytest.mark.parametrize("with_target", [True, False])
+def test_quadratic_route_certifies_a_value_that_cancels_to_zero(scale, with_target):
+    # The family's base member leaves the agent no rent: its value cancels
+    # to ~1e-11 (1e5) or ~1e-9 (1e7) from payments of up to ~1e5 or ~1e7,
+    # whose rounding alone keeps the bracket wider than 1e-12 * max(1, |value|).
+    e, prior, target, _, _ = _large_quadratic_instance()
+    cost = quadratic_cost(prior, scale=scale)
+    member = synthesize_family(e, target, cost).member()
+    result = agent_best_response(e, member, cost, prior, target=target if with_target else None)
+    largest = float(np.abs(e.kernel @ member.payments).max())
+    lower, upper = result.bracket
+    assert result.route == "quadratic" and upper == result.optimal_value
+    assert 0.0 <= upper - lower <= oracle.CERTIFICATE_TOL * largest
+    assert abs(upper) <= oracle.CERTIFICATE_TOL * largest
+    support = np.array([b.probs for b in result.support_beliefs])
+    np.testing.assert_allclose(result.support_weights @ support, prior.probs, rtol=0, atol=1e-12)
+    if with_target:
+        assert result.pricing_rounds == 0
+        assert verify_contract(e, target, cost, member)
+
+
 def test_family_members_verify_globally(binary_instance):
     prior, cost, target = binary_instance
     family = synthesize_family(BINARY, target, cost)
@@ -325,25 +347,29 @@ def test_column_generation_matches_the_full_grid_lp(case, monkeypatch):
     assert np.all(np.isfinite(cost.value_many(support)))
 
 
-def _spy_envelope(monkeypatch):
-    seen = {}
-    concavify = oracle._concavify
+def _spy_restricted_lp(monkeypatch):
+    """Record each restricted LP's columns and dual plane."""
+    calls = []
+    solve = oracle._restricted_lp
 
-    def spy(points, values, prior, start):
-        seen.update(points=points, values=values, start=start,
-                    envelope=concavify(points, values, prior, start))
-        return seen["envelope"]
+    def spy(points, values, prior):
+        weights, plane = solve(points, values, prior)
+        calls.append((points, plane))
+        return weights, plane
 
-    monkeypatch.setattr(oracle, "_concavify", spy)
-    return seen
+    monkeypatch.setattr(oracle, "_restricted_lp", spy)
+    return calls
 
 
-def _plane_excess(seen) -> float:
-    """Largest amount by which a grid value exceeds the final dual plane,
-    and the tolerance the route stops at."""
-    points, values = seen["points"], seen["values"]
+def _plane_excess(calls, e, contract, cost, prior) -> tuple[float, float]:
+    """Largest amount by which the agent's net value at a grid belief or at
+    the prior exceeds the final dual plane, and the tolerance the route
+    stops at.  The values are recomputed here, not read from the route."""
+    points = np.vstack([simplex_grid(e.n_states, oracle.DEFAULT_RESOLUTION[e.n_states]),
+                        prior.probs])
+    values = (points @ e.kernel @ contract.payments).max(axis=1) - cost.value_many(points)
     lifted = np.column_stack([points, np.ones(len(points))])
-    excess = float(np.max(values - lifted @ seen["envelope"].plane))
+    excess = float(np.max(values - lifted @ calls[-1][1]))
     return excess, oracle.PRICING_TOL * max(1.0, float(np.abs(values).max()))
 
 
@@ -351,20 +377,18 @@ def test_pricing_certifies_an_optimum_outside_the_starting_set(monkeypatch):
     # Report 1 pays five times report 2, so the highest values all sit near
     # the first vertex; the envelope also needs an interior belief leaning
     # to state 2, which the starting set does not hold.
-    seen = _spy_envelope(monkeypatch)
+    calls = _spy_restricted_lp(monkeypatch)
     prior = Belief([0.6, 0.4])
-    result = agent_best_response(Experiment(np.eye(2)), Contract(np.diag([5.0, 1.0])),
-                                 grid_priced(entropy_cost(prior)), prior)
-    assert result.pricing_rounds > 1
+    e, contract = Experiment(np.eye(2)), Contract(np.diag([5.0, 1.0]))
+    cost = grid_priced(entropy_cost(prior))
+    result = agent_best_response(e, contract, cost, prior)
+    assert result.pricing_rounds > 1 and len(calls) == result.pricing_rounds
     support = {tuple(b.probs) for b in result.support_beliefs}
-    starting = {tuple(seen["points"][i]) for i in seen["start"]}
+    starting = {tuple(p) for p in calls[0][0]}
     assert support - starting
-    excess, tol = _plane_excess(seen)
+    excess, tol = _plane_excess(calls, e, contract, cost, prior)
     assert excess <= tol
-    payments = np.diag([5.0, 1.0])
-    full = grid_lp_best_response(Experiment(np.eye(2)), Contract(payments),
-                                 grid_priced(entropy_cost(prior)), prior,
-                                 oracle.DEFAULT_RESOLUTION[2])
+    full = grid_lp_best_response(e, contract, cost, prior, oracle.DEFAULT_RESOLUTION[2])
     assert abs(result.optimal_value - full) <= 1e-9
 
 
@@ -372,17 +396,51 @@ def test_pricing_certifies_an_optimum_outside_the_starting_set(monkeypatch):
 def test_flat_envelope_is_certified_at_the_prior(monkeypatch, payments):
     # A zero or report-independent contract pays an affine function of the
     # belief, so the net value is concave and the agent stays at the prior.
-    seen = _spy_envelope(monkeypatch)
+    calls = _spy_restricted_lp(monkeypatch)
     monkeypatch.setitem(oracle.DEFAULT_RESOLUTION, 3, 101)
     prior = Belief([0.2, 0.5, 0.3])
     e = Experiment([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.2, 0.7]])
-    result = agent_best_response(e, Contract(payments), grid_priced(entropy_cost(prior)), prior)
+    contract, cost = Contract(payments), grid_priced(entropy_cost(prior))
+    result = agent_best_response(e, contract, cost, prior)
     assert result.optimal_value == pytest.approx(float(prior.probs @ e.kernel @ payments[:, 0]),
                                                  abs=1e-12)
     assert len(result.support_beliefs) == 1
     np.testing.assert_allclose(result.support_beliefs[0].probs, prior.probs, atol=1e-12)
-    excess, tol = _plane_excess(seen)
+    excess, tol = _plane_excess(calls, e, contract, cost, prior)
     assert excess <= tol
+
+
+# (kernel, contract, prior, quadratic scale) under which the agent learns
+# nothing, and the chord of the two grid beliefs beside the prior falls short
+# of the prior's own value by less than HiGHS's dual tolerance, 1e-7.
+STAY_AT_PRIOR = [
+    ([[0.6522288394293919, 0.3477711605706081], [0.629177982313584, 0.37082201768641604]],
+     [[1.9640497098347263, 1.8741536635721607, 2.1767023818236906, 1.2020766607339213],
+      [1.8996772646648203, 0.05310074887050509, 0.20328001422474817, 0.5864422434490192]],
+     [0.8212274900846773, 0.17877250991532273], 0.7685016657372419),
+    ([[0.5589496449800504, 0.44105035501994955], [0.5689260883569772, 0.43107391164302283]],
+     [[0.8496316368544196, 2.1725923150852533, 2.7296603304629468, 2.4841468750619287],
+      [2.0612903599292944, 1.1013221571659497, 0.9569134500977214, 2.2501982635862983]],
+     [0.8550915142762338, 0.1449084857237663], 0.5183840060940349),
+    ([[0.9891971367974909, 0.010802863202509104], [0.957600102441123, 0.04239989755887688]],
+     [[0.8359856606787038, 2.798988735299183, 2.1827050432462443],
+      [2.273213321205861, 1.2529114777727965, 2.685896837026113]],
+     [0.22947472204609237, 0.7705252779539076], 2.426242937100863),
+]
+
+
+@pytest.mark.parametrize("kernel, payments, prior, scale", STAY_AT_PRIOR)
+def test_grid_route_is_worth_at_least_learning_nothing(kernel, payments, prior, scale):
+    # At 2 states the grid optimum is the prior's own value or the best
+    # chord through the prior between grid beliefs either side of it.
+    e, contract, prior = Experiment(kernel), Contract(payments), Belief(prior)
+    cost = grid_priced(quadratic_cost(prior, scale))
+    result = agent_best_response(e, contract, cost, prior)
+    stay = float((prior.probs @ e.kernel @ contract.payments).max())
+    assert _two_state_chords(e, contract, cost, prior) < stay
+    assert abs(result.optimal_value - stay) <= 1e-12
+    assert len(result.support_beliefs) == 1
+    np.testing.assert_allclose(result.support_beliefs[0].probs, prior.probs, rtol=0, atol=0)
 
 
 def test_result_reports_columns_and_rounds(binary_instance):
@@ -720,9 +778,19 @@ def test_quadratic_route_reports_its_lp_work_and_builds_no_grid(monkeypatch):
 
 
 def test_quadratic_route_past_its_round_cap_is_a_solver_failure(monkeypatch):
-    monkeypatch.setattr(oracle, "QUADRATIC_ROUNDS", 1)
+    monkeypatch.setattr(oracle, "MAX_ROUNDS", 1)
     with pytest.raises(SolverFailureError, match="not certified within 1 rounds"):
         agent_best_response(*TWO_ROUNDS)
+
+
+def test_grid_route_past_the_round_cap_is_a_solver_failure(monkeypatch):
+    # The grid route shares the quadratic route's cap; this solve needs a
+    # second round (test_pricing_certifies_an_optimum_outside_the_starting_set).
+    prior = Belief([0.6, 0.4])
+    monkeypatch.setattr(oracle, "MAX_ROUNDS", 1)
+    with pytest.raises(SolverFailureError, match="not certified within 1 rounds"):
+        agent_best_response(Experiment(np.eye(2)), Contract(np.diag([5.0, 1.0])),
+                            grid_priced(entropy_cost(prior)), prior)
 
 
 def _target_start_cases():
