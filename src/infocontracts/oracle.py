@@ -8,9 +8,17 @@ Gentzkow 2011).  No pseudo-inverse, no first-order condition: agreement
 with the synthesis machinery is therefore a genuine two-route check.
 Three routes solve the problem, chosen by the cost.
 
+Every route solves in one level-free frame, ``u = kernel @ (T - z 1') -
+level``: the realization bonus ``z`` holds each realization's smallest
+payment under the contract ``T``, and ``level`` each state's largest
+remaining expected payment, so the rows of ``u`` peak at 0.  As posteriors
+average to the prior, every value drops by ``prior @ (kernel @ z + level)``.
+The gap is taken in the frame, where a bonus cannot cancel it away, and only
+``optimal_value``, ``bracket`` and ``target_value`` get the offset back.
+
 Costs built by :func:`~infocontracts.costs.entropy_cost` take an exact
 route at any number of states.  The problem is then rational inattention
-(Matejka & McKay 2015): with ``u = kernel @ T`` and ``s = 1 / ln(log_base)``
+(Matejka & McKay 2015): with ``s = 1 / ln(log_base)``
 the agent's value is the maximum over report probabilities ``q`` in the
 simplex of the concave ``f(q) = s sum_n mu0_n log z_n``, where
 ``z = exp(u / s) @ q``.  Blahut-Arimoto steps ``q <- q * D(q)``, with
@@ -40,9 +48,8 @@ projection ``m_k = proj(a + (u_k - lam) / (2 s))`` onto the simplex, worth
 Semismooth Newton steps on the KKT system (``sum_A w_k m_k = mu0``,
 ``h_k = t`` on the active reports ``A``) polish the multiplier, the
 posteriors and their weights, and the solve stops once ``g`` is within
-``CERTIFICATE_TOL * max(1, |value|, max|u|)`` of the polished support's
-value, the lower end of the bracket; the value can cancel to near zero from
-terms of size ``max|u|``.  ``optimal_value`` is ``g``.  A target is tried
+``CERTIFICATE_TOL * max(1, |value|)`` of the polished support's value, the
+lower end of the bracket.  ``optimal_value`` is ``g``.  A target is tried
 first, from the multiplier fitted to its posteriors, so an optimal one is
 certified with no LP.  Otherwise the loop polishes each LP's support, and
 the price response is each ``m_k`` at the plane's slope that lies above the
@@ -86,10 +93,9 @@ MAX_ROUNDS = 20
 # CERTIFICATE_TOL times max(1, |f(q)|), and fails past MAX_ITERATIONS.
 CERTIFICATE_TOL = 1e-12
 MAX_ITERATIONS = 500
-# The quadratic route stops on the same certificate, relative to
-# max(1, |value|, max|u|), after at most NEWTON_STEPS Newton steps a round,
-# each halved down to NEWTON_MIN_STEP until it cuts the KKT residual by
-# ARMIJO times its length.
+# The quadratic route stops on the same certificate, after at most
+# NEWTON_STEPS Newton steps a round, each halved down to NEWTON_MIN_STEP
+# until it cuts the KKT residual by ARMIJO times its length.
 NEWTON_STEPS = 30
 NEWTON_MIN_STEP = 1e-3
 # A report leaves the support once its probability falls below DROP_TOL
@@ -134,7 +140,8 @@ class OracleResult:
     On the ``"grid"`` route ``optimal_value`` is the grid optimum, a lower
     bound on the agent's optimum over all beliefs, ``n_grid_points`` counts
     the grid beliefs of finite price, the prior and the target's posteriors
-    (0 on the other routes), and ``bracket`` is None.
+    (0 on the other routes), and ``bracket`` is None.  ``gap`` is taken in
+    the level-free frame (module docstring), the values at the payments' level.
     """
 
     optimal_value: float
@@ -171,21 +178,15 @@ def _net_values(points: np.ndarray, utilities: np.ndarray, cost: PosteriorCost) 
 def _restricted_lp(points: np.ndarray, values: np.ndarray, prior: np.ndarray):
     """Weights ``w >= 0`` maximizing ``values @ w`` with ``points.T @ w =
     prior`` and ``sum(w) = 1``, and the dual plane: ``[belief, 1] @ plane``
-    lies above every value in ``values``.  Since ``sum(w) = 1``, the LP is
-    posed with the costs ``shift - values >= 0``, ``shift = max(values)``:
-    HiGHS fails on costs near 1e9, which a large bonus gives the values."""
+    lies above every value in ``values``.  In the level-free frame the
+    costs ``-values`` are the size of the payments' spread, not their level."""
     lifted = np.column_stack([points, np.ones(points.shape[0])])
-    shift = float(values.max())
     try:
-        weights, duals = solve_lp(shift - values, lifted.T, np.append(prior, 1.0))
+        weights, duals = solve_lp(-values, lifted.T, np.append(prior, 1.0))
     except SolverFailureError as exc:
         raise SolverFailureError(f"best-response LP did not resolve: {exc}") from exc
-    # HiGHS's equality marginals y satisfy shift - values - lifted @ y >= 0,
-    # and lifted's last column is ones, so -y with shift added to its
-    # constant term is the plane the values lie under.
-    plane = -duals
-    plane[-1] += shift
-    return weights, plane
+    # HiGHS's equality marginals y satisfy -values >= lifted @ y: -y is the plane.
+    return weights, -duals
 
 
 def _column_generation(utilities: np.ndarray, cost: PosteriorCost, prior: np.ndarray,
@@ -240,19 +241,16 @@ def _rational_inattention(utilities: np.ndarray, prior: np.ndarray, scale: float
     """Maximize ``f(q) = scale * sum_n prior_n log (exp(utilities / scale) @ q)_n``
     over the simplex until the Jensen bound certifies ``f`` to
     ``CERTIFICATE_TOL``, from the report probabilities ``start`` or, without
-    them or where they leave a state no report, uniform ones.  Works in the
-    log domain, each row shifted by its maximum; states the prior rules out
-    play no part."""
+    them or where they leave a state no report, uniform ones.  The rows of
+    ``utilities`` peak at 0, so no likelihood overflows; states the prior
+    rules out play no part."""
     charged = prior > 0.0
     mu0 = prior[charged]
-    scaled = utilities[charged] / scale
-    shift = scaled.max(axis=1)
-    lik = np.exp(scaled - shift[:, None])
-    base = scale * float(mu0 @ shift)
+    lik = np.exp(utilities[charged] / scale)
 
     def value(q: np.ndarray) -> float:
         with np.errstate(divide="ignore"):
-            return base + scale * float(mu0 @ np.log(lik @ q))
+            return scale * float(mu0 @ np.log(lik @ q))
 
     def evaluate(q: np.ndarray):
         z = lik @ q
@@ -497,8 +495,7 @@ def _quadratic_response(utilities: np.ndarray, cost: PosteriorCost, prior: np.nd
     ``CERTIFICATE_TOL * max(1, max|u| / scale)``, the rounding of the
     priced posteriors."""
     anchor, n = cost.prior.probs, prior.size
-    largest = float(np.abs(utilities).max())
-    mean_tol = CERTIFICATE_TOL * max(1.0, largest / scale)
+    mean_tol = CERTIFICATE_TOL * max(1.0, float(np.abs(utilities).max()) / scale)
 
     def certified(lam: np.ndarray, active: np.ndarray, weights: np.ndarray,
                   lp_columns: int, rounds: int) -> tuple[OracleResult | None, np.ndarray]:
@@ -513,7 +510,7 @@ def _quadratic_response(utilities: np.ndarray, cost: PosteriorCost, prior: np.nd
         # Rounding can leave g a few ulps under the value it bounds.
         upper = max(float(prior @ point.lam + h.max()), lower)
         if (np.abs(mass @ support - prior).max() > mean_tol
-                or upper - lower > CERTIFICATE_TOL * max(1.0, abs(lower), largest)):
+                or upper - lower > CERTIFICATE_TOL * max(1.0, abs(lower))):
             return None, support
         points, mass = _merge_coincident(support[mass > 0.0], mass[mass > 0.0])
         return OracleResult(
@@ -556,8 +553,7 @@ def _quadratic_response(utilities: np.ndarray, cost: PosteriorCost, prior: np.nd
 
 def _grid_response(utilities: np.ndarray, cost: PosteriorCost, prior: Belief,
                    target: PosteriorDistribution | None) -> OracleResult:
-    """The grid route (module docstring); its price response at the zero
-    plane, the highest-value grid beliefs, seeds the columns."""
+    """The grid route (module docstring)."""
     n = prior.n_states
     if n not in DEFAULT_RESOLUTION:
         raise InputError(f"the belief grid serves 2 or 3 states, not {n} states")
@@ -598,8 +594,7 @@ def _grid_response(utilities: np.ndarray, cost: PosteriorCost, prior: Belief,
             lp_columns=columns.shape[0], pricing_rounds=rounds,
         )
 
-    return _column_generation(utilities, cost, prior.probs, [above(np.zeros(n + 1))[0], *posts],
-                              respond)
+    return _column_generation(utilities, cost, prior.probs, posts, respond)
 
 
 def agent_best_response(e_p: Experiment, t: Contract, cost: PosteriorCost,
@@ -632,7 +627,12 @@ def agent_best_response(e_p: Experiment, t: Contract, cost: PosteriorCost,
             raise DimensionMismatchError("target needs one posterior per contract column")
         if not is_bayes_plausible(target, prior):
             raise InputError("target must average back to the prior (Bayes plausibility)")
-    utilities = e_p.kernel @ t.payments
+    # The level-free frame (module docstring).
+    bonus = t.payments.min(axis=1)
+    utilities = e_p.kernel @ (t.payments - bonus[:, None])
+    level = utilities.max(axis=1)
+    utilities -= level[:, None]
+    offset = float(prior.probs @ (e_p.kernel @ bonus + level))
     route, scale = _route(cost)
     if route == "entropy":
         result = _entropy_response(utilities, cost, prior.probs, scale,
@@ -641,13 +641,13 @@ def agent_best_response(e_p: Experiment, t: Contract, cost: PosteriorCost,
         result = _quadratic_response(utilities, cost, prior.probs, scale, target)
     else:
         result = _grid_response(utilities, cost, prior, target)
-    if target is None:
-        return result
-    interim = target.posterior_matrix().T @ utilities      # K x K
-    target_value = float(
-        target.weights @ (np.einsum("kk->k", interim) - cost.value_many(target.posterior_matrix().T))
-    )
-    return replace(result, target_value=target_value, gap=result.optimal_value - target_value)
+    if target is not None:
+        posts = target.posterior_matrix().T
+        value = float(target.weights @ (np.einsum("kn,nk->k", posts, utilities)
+                                        - cost.value_many(posts)))
+        result = replace(result, target_value=value + offset, gap=result.optimal_value - value)
+    bracket = None if result.bracket is None else tuple(end + offset for end in result.bracket)
+    return replace(result, optimal_value=result.optimal_value + offset, bracket=bracket)
 
 
 def verify_contract(e_p: Experiment, target: PosteriorDistribution,

@@ -146,11 +146,65 @@ def test_a_large_realization_bonus_does_not_widen_the_verify_tolerance():
     # to every target's value, so the gaps stay ~1e-3 at scale 1.
     e, prior, target, other, _ = _large_quadratic_instance()
     cost = quadratic_cost(prior, scale=1.0)
-    member = synthesize_family(e, target, cost).member(z=np.full(3, 1e6))
+    family = synthesize_family(e, target, cost)
+    z = np.full(3, 1e6)
+    member = family.member(z=z)
     result = agent_best_response(e, member, cost, prior, target=other)
-    assert result.optimal_value > 1e6 and 1e-4 < result.gap < 1e-2
+    unbonused = agent_best_response(e, family.member(), cost, prior, target=other)
+    assert result.optimal_value == pytest.approx(
+        unbonused.optimal_value + float(prior.probs @ e.kernel @ z), rel=1e-12)
+    assert 1e-4 < result.gap < 1e-2
     assert verify_contract(e, target, cost, member)
     assert not verify_contract(e, other, cost, member)
+
+
+@pytest.mark.parametrize("route", ["entropy", "quadratic", "grid"])
+def test_a_realization_bonus_moves_neither_the_gap_nor_the_verdict(route):
+    # A bonus adds the same mu0 . (kernel @ bonus) to the optimum and to the
+    # target's value.  At 1e11 the payments' own rounding moves the gap by
+    # up to ~2e-6 of the spread, so only the verdict is held there.
+    rng = np.random.default_rng(5)
+    for _ in range(60):
+        n = int(rng.integers(2, 4))
+        e = Experiment(random_stochastic(rng, n, int(rng.integers(n, n + 3))))
+        target, entropy = tilted_implementable_target(rng, e.kernel)
+        cost = {"entropy": entropy, "quadratic": quadratic_cost(entropy.prior, 1.0),
+                "grid": grid_priced(entropy)}[route]
+        payments = optimal_contract(e, target, entropy if route == "grid" else cost).contract.payments
+        unbonused = agent_best_response(e, Contract(payments), cost, cost.prior, target=target)
+        verdict = verify_contract(e, target, cost, Contract(payments))
+        for bonus in (1e6, 1e9, 1e11):
+            contract = Contract(payments + bonus)
+            result = agent_best_response(e, contract, cost, cost.prior, target=target)
+            assert result.route == route
+            assert verify_contract(e, target, cost, contract) == verdict
+            if bonus <= 1e9:
+                assert abs(result.gap - unbonused.gap) <= 1e-8 * max(1.0, _spread(e, contract))
+
+
+def _optimal_contracts_plus_1e11():
+    """(experiment, target, cost, contract): the optimal contract of
+    ``_large_quadratic_instance`` under its quadratic cost at scale 1, and
+    the side-bets optimal contract under a grid-priced quadratic cost, each
+    with 1e11 added to every payment."""
+    e, prior, target, _, _ = _large_quadratic_instance()
+    cost = quadratic_cost(prior, scale=1.0)
+    side_e, side_target = SIDE_BETS
+    half = quadratic_cost(Belief([0.5, 0.5]))
+    return [(e, target, cost, Contract(optimal_contract(e, target, cost).contract.payments + 1e11)),
+            (side_e, side_target, grid_priced(half),
+             Contract(optimal_contract(side_e, side_target, half).contract.payments + 1e11))]
+
+
+@pytest.mark.parametrize("case", _optimal_contracts_plus_1e11(), ids=["quadratic", "grid"])
+def test_an_optimal_contract_plus_1e11_still_verifies(case):
+    # At 1e11 one ulp of a payment is 1.5e-5, over VERIFY_TOL at a spread
+    # under 1.2: the optimum and the target's value must not be compared at
+    # the payments' level.
+    e, target, cost, contract = case
+    result = agent_best_response(e, contract, cost, cost.prior, target=target)
+    assert abs(result.gap) <= 1e-9 * max(1.0, _spread(e, contract))
+    assert verify_contract(e, target, cost, contract)
 
 
 @pytest.mark.parametrize("scale", [1e5, 1e7])
@@ -364,10 +418,13 @@ def _spy_restricted_lp(monkeypatch):
 def _plane_excess(calls, e, contract, cost, prior) -> tuple[float, float]:
     """Largest amount by which the agent's net value at a grid belief or at
     the prior exceeds the final dual plane, and the tolerance the route
-    stops at.  The values are recomputed here, not read from the route."""
+    stops at.  The values are recomputed here, not read from the route, in
+    the frame the LP sees: each state's expected payments less their largest."""
     points = np.vstack([simplex_grid(e.n_states, oracle.DEFAULT_RESOLUTION[e.n_states]),
                         prior.probs])
-    values = (points @ e.kernel @ contract.payments).max(axis=1) - cost.value_many(points)
+    utilities = e.kernel @ contract.payments
+    utilities = utilities - utilities.max(axis=1, keepdims=True)
+    values = (points @ utilities).max(axis=1) - cost.value_many(points)
     lifted = np.column_stack([points, np.ones(len(points))])
     excess = float(np.max(values - lifted @ calls[-1][1]))
     return excess, oracle.PRICING_TOL * max(1.0, float(np.abs(values).max()))
@@ -717,27 +774,6 @@ def test_quadratic_route_certifies_agent_values_near_1e11(scale, bonus):
     chords = _two_state_chords(e, contract, cost, cost.prior)
     assert -1e-12 <= (result.optimal_value - chords) / result.optimal_value <= 1e-9
     assert verify_contract(e, target, cost, contract)
-
-
-def test_restricted_lp_is_unmoved_by_a_large_constant_in_the_values():
-    # Adding b to every value adds b to the optimum and to the plane's
-    # constant term and leaves the weights' optimality alone.  HiGHS fails
-    # on costs near 1e9 when posed as given; the LP is posed shifted by the
-    # largest value, so the costs stay the values' spread.
-    rng = np.random.default_rng(71)
-    for _ in range(20):
-        n, k = int(rng.integers(2, 5)), int(rng.integers(6, 12))
-        prior = rng.dirichlet(np.full(n, 5.0))
-        points = np.vstack([rng.dirichlet(np.ones(n), size=k), prior])
-        values = 1e7 * rng.random(k + 1) * (points ** 2).sum(axis=1)
-        weights, plane = oracle._restricted_lp(points, values, prior)
-        lifted = np.column_stack([points, np.ones(k + 1)])
-        for bonus in (1e9, 1e11, 1e13):
-            moved_weights, moved = oracle._restricted_lp(points, values + bonus, prior)
-            np.testing.assert_allclose(moved_weights @ lifted, np.append(prior, 1.0), atol=1e-12)
-            assert moved_weights @ values == pytest.approx(weights @ values, rel=1e-12)
-            np.testing.assert_allclose(moved[:-1], plane[:-1], rtol=1e-9, atol=1e-9 * 1e7)
-            assert moved[-1] - bonus == pytest.approx(plane[-1], rel=1e-9, abs=1e-9 * 1e7)
 
 
 def test_quadratic_route_verifies_corner_contracts_beyond_three_states():
