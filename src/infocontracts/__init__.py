@@ -6,8 +6,8 @@ only a noisy experiment about the state is contractible, synthesizes the
 family of implementing contracts and the cost-minimizing one, computes the
 principal's indirect cost, and compares contractible experiments under the
 Blackwell, column-space, conic-span, and (binary-binary) indirect-cost
-orders.  An independent agent-side solver (exact and certified under entropy
-and quadratic costs, on a belief grid otherwise) cross-checks every verdict.
+orders.  An independent agent-side solver, exact and certified under entropy
+and quadratic costs, cross-checks every verdict; it refuses any other cost.
 """
 
 from .contracts import (

@@ -31,9 +31,8 @@ class PosteriorCost:
 
     ``value`` maps a belief vector to an extended real; ``gradient`` maps an
     interior (or, for boundary-finite costs, any) belief vector to the
-    normalized gradient.  The three flags describe strict convexity, whether
-    the slope blows up at the simplex boundary, and whether the price itself
-    stays finite there.
+    normalized gradient.  The two flags describe strict convexity and
+    whether the slope blows up at the simplex boundary.
 
     ``kind`` and ``params`` label the prices for serialization and for the
     oracle: ``kind == "entropy"`` with a ``log_base`` param promises the
@@ -50,7 +49,6 @@ class PosteriorCost:
     gradient: Callable[[np.ndarray], np.ndarray]
     strictly_convex: bool
     infinite_boundary_slope: bool
-    finite_on_boundary: bool
     value_batch: Callable[[np.ndarray], np.ndarray] | None = None
     params: dict = field(default_factory=dict)
 
@@ -120,7 +118,7 @@ def entropy_cost(prior, log_base: float = math.e) -> PosteriorCost:
 
     return PosteriorCost(
         kind="entropy", prior=prior, value=value, gradient=gradient,
-        strictly_convex=True, infinite_boundary_slope=True, finite_on_boundary=True,
+        strictly_convex=True, infinite_boundary_slope=True,
         value_batch=value_batch, params={"log_base": log_base},
     )
 
@@ -148,7 +146,7 @@ def quadratic_cost(prior, scale: float = 1.0) -> PosteriorCost:
 
     return PosteriorCost(
         kind="quadratic", prior=prior, value=value, gradient=gradient,
-        strictly_convex=True, infinite_boundary_slope=False, finite_on_boundary=True,
+        strictly_convex=True, infinite_boundary_slope=False,
         value_batch=value_batch, params={"scale": scale},
     )
 
@@ -168,8 +166,7 @@ def cost_from_dict(data: dict) -> PosteriorCost:
 
 def custom_cost(prior, value, gradient, *, kind: str = "custom",
                 strictly_convex: bool, infinite_boundary_slope: bool,
-                finite_on_boundary: bool, validate: bool = True,
-                rng=None) -> PosteriorCost:
+                validate: bool = True, rng=None) -> PosteriorCost:
     """Register a user-supplied posterior cost.
 
     When ``validate`` is set, the zero-at-prior, normalization, and
@@ -181,7 +178,6 @@ def custom_cost(prior, value, gradient, *, kind: str = "custom",
         kind=kind, prior=prior, value=value, gradient=gradient,
         strictly_convex=strictly_convex,
         infinite_boundary_slope=infinite_boundary_slope,
-        finite_on_boundary=finite_on_boundary,
     )
     if validate:
         _validate_cost(cost, rng=rng)

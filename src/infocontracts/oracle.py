@@ -6,7 +6,9 @@ payment net of the information cost.  Its value is the upper concave
 envelope of the net value at the prior (concavification, Kamenica &
 Gentzkow 2011).  No pseudo-inverse, no first-order condition: agreement
 with the synthesis machinery is therefore a genuine two-route check.
-Three routes solve the problem, chosen by the cost.
+Two routes solve the problem, chosen by the cost, and both certify their
+answer, so a passing ``verify_contract`` is sound.  Any other cost is an
+``InputError``.
 
 Every route solves in one level-free frame, ``u = kernel @ (T - z 1') -
 level``: the realization bonus ``z`` holds each realization's smallest
@@ -27,17 +29,10 @@ active-set Newton step on the support of ``q`` accelerates them.  By
 Jensen, ``f(q*) <= f(q) + s log max_x D_x`` at every ``q``, and the solve
 stops once that bound is within ``CERTIFICATE_TOL`` of ``f``.  It starts
 from a target's weights, where an optimal target is certified before any
-step, and otherwise from uniform ``q``.  ``optimal_value`` is the
-upper bound, so a passing ``verify_contract`` is sound.  The support is the
-channel's posteriors ``mu_x = mu0 * exp(u_x / s) / (z D_x)`` at weights
-``q_x D_x``: they average to the prior exactly and are worth at least
-``f(q)``, the lower end of the reported bracket.
-
-The other two routes share one column-generation loop: a restricted LP
-mixes a few beliefs (columns) into the prior, and its dual is a plane over
-the simplex above their values.  Each round the route's price response
-certifies a result or names beliefs above the plane, which join the
-columns, for at most ``MAX_ROUNDS`` rounds.
+step, and otherwise from uniform ``q``.  ``optimal_value`` is the upper
+bound.  The support is the channel's posteriors ``mu_x = mu0 * exp(u_x /
+s) / (z D_x)`` at weights ``q_x D_x``: they average to the prior exactly
+and are worth at least ``f(q)``, the lower end of the reported bracket.
 
 Costs built by :func:`~infocontracts.costs.quadratic_cost` take an exact
 route at any number of states.  With cost prior ``a`` and scale ``s``,
@@ -51,19 +46,12 @@ posteriors and their weights, and the solve stops once ``g`` is within
 ``CERTIFICATE_TOL * max(1, |value|)`` of the polished support's value, the
 lower end of the bracket.  ``optimal_value`` is ``g``.  A target is tried
 first, from the multiplier fitted to its posteriors, so an optimal one is
-certified with no LP.  Otherwise the loop polishes each LP's support, and
-the price response is each ``m_k`` at the plane's slope that lies above the
-plane, with the polished supports.
-
-Every other cost is solved at 2 or 3 states on a fixed grid of
-``DEFAULT_RESOLUTION`` points per axis (2001 at 2 states, 201 at 3), the
-prior and the target's posteriors, valued once per call.  The price response
-is the ``PRICING_BATCH`` grid beliefs furthest above the plane, each at
-most once; once none lies ``PRICING_TOL`` above it, the restricted optimum
-is by weak duality the grid optimum, to that tolerance (or the prior's own
-value, where HiGHS's dual tolerance left the LP under it).  That is only a
-lower bound on the agent's optimum, so a passing ``verify_contract`` on this
-route is not sound: a better belief off the grid may exist.
+certified with no LP.  Otherwise column generation takes over: a restricted
+LP mixes a few beliefs (columns) into the prior, and its dual is a plane over
+the simplex above their values.  Each round polishes the LP's support, and
+failing the certificate, each ``m_k`` at the plane's slope that lies above
+the plane joins the columns with the polished supports, for at most
+``MAX_ROUNDS`` rounds.
 """
 
 from __future__ import annotations
@@ -80,14 +68,11 @@ from .errors import DimensionMismatchError, InputError, SolverFailureError
 from .experiments import Belief, Experiment, PosteriorDistribution, is_bayes_plausible
 from .numerics import solve_lp
 
-# Points per axis of the belief grid, by number of states.
-DEFAULT_RESOLUTION = {2: 2001, 3: 201}
 SUPPORT_TOL = 1e-10
 # A belief joins the columns once its value exceeds the dual plane by more
-# than PRICING_TOL times max(1, largest |value|), at most PRICING_BATCH grid
-# beliefs a round, for at most MAX_ROUNDS restricted LPs.
+# than PRICING_TOL times max(1, largest |value|), for at most MAX_ROUNDS
+# restricted LPs.
 PRICING_TOL = 1e-10
-PRICING_BATCH = 32
 MAX_ROUNDS = 20
 # The entropy route stops once its upper bound exceeds f(q) by at most
 # CERTIFICATE_TOL times max(1, |f(q)|), and fails past MAX_ITERATIONS.
@@ -112,7 +97,9 @@ VERIFY_TOL = 1e-5
 
 
 def simplex_grid(n_states: int, points_per_axis: int) -> np.ndarray:
-    """Uniform grid on the belief simplex, vertices included."""
+    """Uniform grid on the belief simplex, vertices included, at 2 or 3
+    states.  No solver uses it; it stays for the benchmark tracer, which
+    wraps it."""
     steps = points_per_axis - 1
     if n_states == 2:
         t = np.linspace(0.0, 1.0, points_per_axis)
@@ -123,7 +110,7 @@ def simplex_grid(n_states: int, points_per_axis: int) -> np.ndarray:
         i = np.repeat(np.arange(steps + 1), counts)
         j = np.arange(i.size) - np.repeat(np.cumsum(counts) - counts, counts)
         return np.column_stack([i, j, steps - i - j]) / steps
-    raise InputError("the best-response solver supports 2 or 3 states only")
+    raise InputError(f"the simplex grid is built at 2 or 3 states, not {n_states}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,17 +118,15 @@ class OracleResult:
     """The agent's optimum under a contract and, if a target was supplied,
     how far that target falls short of it.
 
-    ``route`` names the solver that ran; ``lp_columns`` and
-    ``pricing_rounds`` count the columns of the last restricted LP and the
-    LPs run.  On the ``"entropy"`` route, ``bracket`` is ``(f(q),
-    optimal_value)``: the value of the returned channel and the certified
-    upper bound.  On the ``"quadratic"`` route ``bracket`` is ``(value of
-    the support, optimal_value)``, whose upper end is the dual bound ``g``.
-    On the ``"grid"`` route ``optimal_value`` is the grid optimum, a lower
-    bound on the agent's optimum over all beliefs, ``n_grid_points`` counts
-    the grid beliefs of finite price, the prior and the target's posteriors
-    (0 on the other routes), and ``bracket`` is None.  ``gap`` is taken in
-    the level-free frame (module docstring), the values at the payments' level.
+    ``route`` names the solver that ran, ``"entropy"`` or ``"quadratic"``;
+    ``lp_columns`` and ``pricing_rounds`` count the columns of the last
+    restricted LP and the LPs run.  ``bracket`` is ``(value of the support,
+    optimal_value)``: on the entropy route ``f(q)`` and its certified upper
+    bound, on the quadratic route the dual bound ``g`` above.  So
+    ``optimal_value`` bounds the agent's optimum from above.
+    ``n_grid_points`` is always 0; it stays for the benchmark tracer.
+    ``gap`` is taken in the level-free frame (module docstring), the values
+    at the payments' level.
     """
 
     optimal_value: float
@@ -150,16 +135,16 @@ class OracleResult:
     target_value: float | None
     gap: float | None
     route: str
+    bracket: tuple[float, float]
     n_grid_points: int = 0
     lp_columns: int = 0
     pricing_rounds: int = 0
-    bracket: tuple[float, float] | None = None
 
     def to_dict(self) -> dict:
         return {
             "route": self.route,
             "optimal_value": self.optimal_value,
-            "bracket": None if self.bracket is None else list(self.bracket),
+            "bracket": list(self.bracket),
             "support": [b.probs.tolist() for b in self.support_beliefs],
             "weights": self.support_weights.tolist(),
             "target_value": self.target_value,
@@ -189,41 +174,18 @@ def _restricted_lp(points: np.ndarray, values: np.ndarray, prior: np.ndarray):
     return weights, -duals
 
 
-def _column_generation(utilities: np.ndarray, cost: PosteriorCost, prior: np.ndarray,
-                       seeds: list[np.ndarray], respond) -> OracleResult:
-    """The concavification at ``prior`` by column generation (module
-    docstring) from the prior, which keeps every LP feasible, the simplex
-    vertices and the ``seeds`` (rows), less any of infinite price.
-    ``respond(columns, values, weights, plane, rounds)`` returns the route's
-    result once certified, else the beliefs that join and their values."""
-    columns = np.vstack([prior[None, :], np.eye(prior.size), *seeds])
-    values = _net_values(columns, utilities, cost)
-    # Where a convex price is infinite at the prior, no mixture of
-    # finite-price beliefs reaches it.
-    if not np.isfinite(values[0]):
-        raise InputError("the cost is infinite at the prior")
-    finite = np.isfinite(values)
-    columns, values = columns[finite], values[finite]
-    for rounds in range(1, MAX_ROUNDS + 1):
-        weights, plane = _restricted_lp(columns, values, prior)
-        answer = respond(columns, values, weights, plane, rounds)
-        if isinstance(answer, OracleResult):
-            return answer
-        columns, values = np.vstack([columns, answer[0]]), np.concatenate([values, answer[1]])
-    raise SolverFailureError(f"the best response was not certified within {MAX_ROUNDS} rounds")
-
-
-def _route(cost: PosteriorCost) -> tuple[str, float | None]:
+def _route(cost: PosteriorCost) -> tuple[str, float]:
     """The route for a cost and its scale, read from the labels that
     ``entropy_cost`` and ``quadratic_cost`` attach: ``("entropy",
-    1 / ln(log_base))``, ``("quadratic", scale)`` or ``("grid", None)``.
-    The labels are trusted: the entropy route prices only the prior, and the
-    quadratic route prices off the grid by the labelled formula."""
+    1 / ln(log_base))`` or ``("quadratic", scale)``, and ``InputError`` for
+    any other cost.  The labels are trusted: the entropy route prices only
+    the prior, and the quadratic route prices by the labelled formula."""
     if cost.kind == "entropy" and "log_base" in cost.params:
         return "entropy", 1.0 / math.log(cost.params["log_base"])
     if cost.kind == "quadratic" and "scale" in cost.params:
         return "quadratic", float(cost.params["scale"])
-    return "grid", None
+    raise InputError(f"the agent-side solver takes 'entropy' or 'quadratic' costs only, "
+                     f"not {cost.kind!r}")
 
 
 class _Channel(NamedTuple):
@@ -487,13 +449,15 @@ def _quadratic_response(utilities: np.ndarray, cost: PosteriorCost, prior: np.nd
                         scale: float, target: PosteriorDistribution | None) -> OracleResult:
     """The quadratic route (module docstring).  A target, which holds one
     posterior per report, is tried first: every report active at the
-    target's weights, from the multiplier fitted to its posteriors.  Each
-    round's Newton polish starts from a multiplier fitted to the LP's
-    support and, failing that, from the LP's dual plane; failing both, the
-    posteriors priced at the plane that lie above it and both polished
-    supports join the LP.  The support must average to the prior within
-    ``CERTIFICATE_TOL * max(1, max|u| / scale)``, the rounding of the
-    priced posteriors."""
+    target's weights, from the multiplier fitted to its posteriors.  The
+    LP's columns start as the prior, which keeps every LP feasible, the
+    simplex vertices, each report's posterior priced at ``lam = 0`` and the
+    target's posteriors.  Each round's Newton polish starts from a
+    multiplier fitted to the LP's support and, failing that, from the LP's
+    dual plane; failing both, the posteriors priced at the plane that lie
+    above it and both polished supports join the columns.  The support must
+    average to the prior within ``CERTIFICATE_TOL * max(1, max|u| /
+    scale)``, the rounding of the priced posteriors."""
     anchor, n = cost.prior.probs, prior.size
     mean_tol = CERTIFICATE_TOL * max(1.0, float(np.abs(utilities).max()) / scale)
 
@@ -519,7 +483,20 @@ def _quadratic_response(utilities: np.ndarray, cost: PosteriorCost, prior: np.nd
             lp_columns=lp_columns, pricing_rounds=rounds, bracket=(lower, upper),
         ), support
 
-    def respond(columns, values, lp_weights, plane, rounds):
+    seeds = []
+    if target is not None:
+        posts = target.posterior_matrix().T
+        every = np.arange(posts.shape[0])
+        result, _ = certified(_fitted_multiplier(utilities, anchor, scale, posts, every),
+                              every, target.weights, 0, 0)
+        if result is not None:
+            return result
+        seeds.append(posts)
+    columns = np.vstack([prior[None, :], np.eye(n),
+                         _priced(utilities, anchor, scale, np.zeros(n))[0], *seeds])
+    values = _net_values(columns, utilities, cost)
+    for rounds in range(1, MAX_ROUNDS + 1):
+        lp_weights, plane = _restricted_lp(columns, values, prior)
         slope, level = plane[:-1] - plane[:-1].mean(), plane[-1] + plane[:-1].mean()
         on = lp_weights > 0.0
         active, played = np.unique(np.argmax(columns[on] @ utilities, axis=1),
@@ -537,64 +514,9 @@ def _quadratic_response(utilities: np.ndarray, cost: PosteriorCost, prior: np.nd
         priced, gain = _priced(utilities, anchor, scale, slope)
         above = gain > level + PRICING_TOL * max(1.0, float(np.abs(values).max()))
         entering = np.vstack([priced[above], *tried])
-        return entering, _net_values(entering, utilities, cost)
-
-    seeds = [_priced(utilities, anchor, scale, np.zeros(n))[0]]
-    if target is not None:
-        posts = target.posterior_matrix().T
-        every = np.arange(posts.shape[0])
-        result, _ = certified(_fitted_multiplier(utilities, anchor, scale, posts, every),
-                              every, target.weights, 0, 0)
-        if result is not None:
-            return result
-        seeds.append(posts)
-    return _column_generation(utilities, cost, prior, seeds, respond)
-
-
-def _grid_response(utilities: np.ndarray, cost: PosteriorCost, prior: Belief,
-                   target: PosteriorDistribution | None) -> OracleResult:
-    """The grid route (module docstring)."""
-    n = prior.n_states
-    if n not in DEFAULT_RESOLUTION:
-        raise InputError(f"the belief grid serves 2 or 3 states, not {n} states")
-    posts = [] if target is None else [target.posterior_matrix().T]
-    points = simplex_grid(n, DEFAULT_RESOLUTION[n])
-    values = _net_values(points, utilities, cost)
-    finite = np.isfinite(values)
-    points, values = points[finite], values[finite]
-    lifted = np.column_stack([points, np.ones(points.shape[0])])
-    tol = PRICING_TOL * float(np.abs(values).max(initial=1.0))
-    # Columns never rejoin: HiGHS's dual tolerance can leave one above the
-    # plane.  The simplex vertices start among them.
-    taken = points.max(axis=1) == 1.0
-
-    def above(plane: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        excess = values - lifted @ plane
-        excess[taken] = -np.inf
-        entering = np.flatnonzero(excess > tol)
-        if entering.size > PRICING_BATCH:
-            entering = entering[np.argpartition(excess[entering], -PRICING_BATCH)[-PRICING_BATCH:]]
-        taken[entering] = True
-        return points[entering], values[entering]
-
-    def respond(columns, column_values, weights, plane, rounds):
-        entering = above(plane)
-        if entering[0].size:
-            return entering
-        # HiGHS's dual tolerance can leave a chord of two grid beliefs beside
-        # the prior up to ~1e-7 under the prior's own value (the first column).
-        if column_values[0] > column_values @ weights:
-            weights = (np.arange(columns.shape[0]) == 0).astype(float)
-        keep = weights > SUPPORT_TOL
-        return OracleResult(
-            optimal_value=float(column_values @ weights),
-            support_beliefs=tuple(Belief(p) for p in columns[keep]),
-            support_weights=weights[keep] / weights[keep].sum(), target_value=None, gap=None,
-            route="grid", n_grid_points=points.shape[0] + 1 + sum(map(len, posts)),
-            lp_columns=columns.shape[0], pricing_rounds=rounds,
-        )
-
-    return _column_generation(utilities, cost, prior.probs, posts, respond)
+        columns = np.vstack([columns, entering])
+        values = np.concatenate([values, _net_values(entering, utilities, cost)])
+    raise SolverFailureError(f"the best response was not certified within {MAX_ROUNDS} rounds")
 
 
 def agent_best_response(e_p: Experiment, t: Contract, cost: PosteriorCost,
@@ -608,10 +530,9 @@ def agent_best_response(e_p: Experiment, t: Contract, cost: PosteriorCost,
     ``log_base`` param, or ``kind == "quadratic"`` with a ``scale`` param),
     which promise those prices; a cost that carries the labels over other
     prices is solved as if it had the labelled prices.  Any other cost is
-    solved on the fixed belief grid at 2 or 3 states (``InputError``
-    otherwise), a lower bound on the agent's optimum.  Returns the
-    achieving support and, for a target, how far its value falls short of
-    the optimum.  A target holds one posterior per contract column, on the
+    an ``InputError``.  Returns the certified optimum, the achieving
+    support and, for a target, how far its value falls short of the
+    optimum.  A target holds one posterior per contract column, on the
     experiment's states (``DimensionMismatchError`` otherwise), averages
     back to ``prior`` (``InputError`` otherwise), and is where the exact
     routes start.
@@ -637,17 +558,15 @@ def agent_best_response(e_p: Experiment, t: Contract, cost: PosteriorCost,
     if route == "entropy":
         result = _entropy_response(utilities, cost, prior.probs, scale,
                                    None if target is None else target.weights)
-    elif route == "quadratic":
-        result = _quadratic_response(utilities, cost, prior.probs, scale, target)
     else:
-        result = _grid_response(utilities, cost, prior, target)
+        result = _quadratic_response(utilities, cost, prior.probs, scale, target)
     if target is not None:
         posts = target.posterior_matrix().T
         value = float(target.weights @ (np.einsum("kn,nk->k", posts, utilities)
                                         - cost.value_many(posts)))
         result = replace(result, target_value=value + offset, gap=result.optimal_value - value)
-    bracket = None if result.bracket is None else tuple(end + offset for end in result.bracket)
-    return replace(result, optimal_value=result.optimal_value + offset, bracket=bracket)
+    return replace(result, optimal_value=result.optimal_value + offset,
+                   bracket=tuple(end + offset for end in result.bracket))
 
 
 def verify_contract(e_p: Experiment, target: PosteriorDistribution,
@@ -657,10 +576,8 @@ def verify_contract(e_p: Experiment, target: PosteriorDistribution,
     reports at its own posteriors), where ``spread`` is the largest range
     across reports of a row of ``kernel @ payments``.
 
-    Under an entropy or quadratic cost the optimum is the certified upper
-    bound, so a pass is sound.  On the grid route it is the grid optimum, a
-    lower bound, so a pass is not sound: a belief off the grid may pay the
-    agent more than the target."""
+    The optimum is the certified upper bound, so a pass is sound.  Any cost
+    but an entropy or quadratic one is an ``InputError``."""
     result = agent_best_response(e_p, t, cost, prior=cost.prior, target=target)
     spread = float(np.ptp(e_p.kernel @ t.payments, axis=1).max())
     return bool(result.gap <= VERIFY_TOL * max(1.0, spread))

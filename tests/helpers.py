@@ -17,7 +17,8 @@ from scipy.optimize import linprog
 from infocontracts import Belief, Experiment, PosteriorDistribution, entropy_cost
 
 # The 2x3 kernel with a side bet (a null direction of the kernel) and a
-# symmetric binary target: one payment LP and one restricted oracle LP.
+# symmetric binary target: one payment LP, and the oracle certifies its
+# optimal contract at the target with no LP.
 SIDE_BETS = (Experiment([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]]),
              PosteriorDistribution([[0.7, 0.3], [0.3, 0.7]], [0.5, 0.5]))
 
@@ -335,7 +336,7 @@ def grid_lp_best_response(e_p, contract, cost, prior, points_per_axis, extra=(),
 
 
 def grid_priced(cost):
-    """The same prices under a kind the oracle solves on its belief grid:
-    an entropy or quadratic cost keeps its vectorized price but not its
-    exact route."""
+    """The same prices under the kind ``"custom"``: an entropy or quadratic
+    cost keeps its vectorized price but loses the labels of its exact
+    route, so the agent-side solver refuses it with an ``InputError``."""
     return replace(cost, kind="custom")

@@ -223,7 +223,7 @@ def test_custom_cost_validation_catches_bad_plugins():
 
     with pytest.raises(InputError):
         custom_cost(prior, value, bad_gradient, strictly_convex=True,
-                    infinite_boundary_slope=False, finite_on_boundary=True)
+                    infinite_boundary_slope=False)
 
     def nonconvex_value(mu):
         return -float(np.sum((mu - prior.probs) ** 2))
@@ -234,7 +234,7 @@ def test_custom_cost_validation_catches_bad_plugins():
 
     with pytest.raises(InputError):
         custom_cost(prior, nonconvex_value, nonconvex_gradient, strictly_convex=False,
-                    infinite_boundary_slope=False, finite_on_boundary=True)
+                    infinite_boundary_slope=False)
 
 
 def test_cost_from_dict():

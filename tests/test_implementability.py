@@ -87,8 +87,7 @@ def test_infinite_cost_is_not_implementable():
         return raw + (value(mu) - mu @ raw)
 
     cost = custom_cost(prior, value, gradient, strictly_convex=True,
-                       infinite_boundary_slope=False, finite_on_boundary=False,
-                       validate=False)
+                       infinite_boundary_slope=False, validate=False)
     target = PosteriorDistribution([[0.95, 0.05], [0.05, 0.95]], [0.5, 0.5])
     report = check_implementable(Experiment(np.eye(2)), target, cost)
     assert not report.implementable
@@ -117,7 +116,7 @@ def test_corner_needs_finite_gradients():
     # decided in corner mode, where the -inf gradient entries must raise.
     entropy = entropy_cost(Belief.uniform(2))
     cost = custom_cost(entropy.prior, entropy.value, entropy.gradient, strictly_convex=True,
-                       infinite_boundary_slope=False, finite_on_boundary=True)
+                       infinite_boundary_slope=False)
     revealing = PosteriorDistribution([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5])
     with pytest.raises(BoundaryMarginalCostError):
         check_implementable(Experiment([[0.8, 0.2], [0.3, 0.7]]), revealing, cost)
@@ -174,8 +173,7 @@ def test_unique_implementability():
         return raw + (value(mu) - mu @ raw)
 
     affine_cost = custom_cost(prior, value, gradient, strictly_convex=False,
-                              infinite_boundary_slope=False, finite_on_boundary=True,
-                              validate=False)
+                              infinite_boundary_slope=False, validate=False)
     assert not check_unique_implementable(e, two, affine_cost)
 
 

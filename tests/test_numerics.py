@@ -199,9 +199,9 @@ def _unbounded_standard_form(rng):
 
 
 def _oracle_shaped(rng, size=40):
-    """The grid oracle's restricted LP: mixture weights over ``size`` belief
-    points (the simplex's vertices and random interior points) averaging to
-    the prior, maximizing a random net value."""
+    """The shape of the oracle's restricted LP: mixture weights over ``size``
+    belief points (the simplex's vertices and random interior points)
+    averaging to the prior, maximizing a random net value."""
     points = np.vstack([np.eye(3), rng.dirichlet(np.ones(3), size=size - 3)])
     prior = rng.dirichlet(np.ones(3) * 3.0)
     values = rng.normal(size=size) - (points ** 2).sum(axis=1)

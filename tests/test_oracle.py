@@ -55,7 +55,7 @@ def test_simplex_grid_shapes():
     three = simplex_grid(3, 101)
     assert three.shape == (101 * 102 // 2, 3)
     np.testing.assert_allclose(three.sum(axis=1), 1.0, atol=1e-12)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="simplex grid"):
         simplex_grid(4, 101)
 
 
@@ -158,7 +158,7 @@ def test_a_large_realization_bonus_does_not_widen_the_verify_tolerance():
     assert not verify_contract(e, other, cost, member)
 
 
-@pytest.mark.parametrize("route", ["entropy", "quadratic", "grid"])
+@pytest.mark.parametrize("route", ["entropy", "quadratic"])
 def test_a_realization_bonus_moves_neither_the_gap_nor_the_verdict(route):
     # A bonus adds the same mu0 . (kernel @ bonus) to the optimum and to the
     # target's value.  At 1e11 the payments' own rounding moves the gap by
@@ -168,9 +168,8 @@ def test_a_realization_bonus_moves_neither_the_gap_nor_the_verdict(route):
         n = int(rng.integers(2, 4))
         e = Experiment(random_stochastic(rng, n, int(rng.integers(n, n + 3))))
         target, entropy = tilted_implementable_target(rng, e.kernel)
-        cost = {"entropy": entropy, "quadratic": quadratic_cost(entropy.prior, 1.0),
-                "grid": grid_priced(entropy)}[route]
-        payments = optimal_contract(e, target, entropy if route == "grid" else cost).contract.payments
+        cost = {"entropy": entropy, "quadratic": quadratic_cost(entropy.prior, 1.0)}[route]
+        payments = optimal_contract(e, target, cost).contract.payments
         unbonused = agent_best_response(e, Contract(payments), cost, cost.prior, target=target)
         verdict = verify_contract(e, target, cost, Contract(payments))
         for bonus in (1e6, 1e9, 1e11):
@@ -185,18 +184,18 @@ def test_a_realization_bonus_moves_neither_the_gap_nor_the_verdict(route):
 def _optimal_contracts_plus_1e11():
     """(experiment, target, cost, contract): the optimal contract of
     ``_large_quadratic_instance`` under its quadratic cost at scale 1, and
-    the side-bets optimal contract under a grid-priced quadratic cost, each
-    with 1e11 added to every payment."""
+    the side-bets optimal contract under a quadratic cost at the uniform
+    prior, each with 1e11 added to every payment."""
     e, prior, target, _, _ = _large_quadratic_instance()
     cost = quadratic_cost(prior, scale=1.0)
     side_e, side_target = SIDE_BETS
     half = quadratic_cost(Belief([0.5, 0.5]))
     return [(e, target, cost, Contract(optimal_contract(e, target, cost).contract.payments + 1e11)),
-            (side_e, side_target, grid_priced(half),
+            (side_e, side_target, half,
              Contract(optimal_contract(side_e, side_target, half).contract.payments + 1e11))]
 
 
-@pytest.mark.parametrize("case", _optimal_contracts_plus_1e11(), ids=["quadratic", "grid"])
+@pytest.mark.parametrize("case", _optimal_contracts_plus_1e11(), ids=["quadratic", "side_bets"])
 def test_an_optimal_contract_plus_1e11_still_verifies(case):
     # At 1e11 one ulp of a payment is 1.5e-5, over VERIFY_TOL at a spread
     # under 1.2: the optimum and the target's value must not be compared at
@@ -264,16 +263,6 @@ def test_optimum_at_least_value_of_no_learning(binary_instance):
         assert result.optimal_value >= stay_put - 1e-9
 
 
-def test_grid_refinement_converges(binary_instance, monkeypatch):
-    prior, cost, target = binary_instance
-    report = optimal_contract(BINARY, target, cost)
-    monkeypatch.setitem(oracle.DEFAULT_RESOLUTION, 2, 501)
-    coarse = agent_best_response(BINARY, report.contract, grid_priced(cost), prior, target=target)
-    monkeypatch.setitem(oracle.DEFAULT_RESOLUTION, 2, 1001)
-    fine = agent_best_response(BINARY, report.contract, grid_priced(cost), prior, target=target)
-    assert abs(fine.optimal_value - coarse.optimal_value) <= max(coarse.gap, 1e-9) + 1e-9
-
-
 def test_boundary_beliefs_never_support_entropy_optimum(binary_instance):
     prior, cost, target = binary_instance
     report = optimal_contract(BINARY, target, cost)
@@ -328,10 +317,16 @@ def test_positive_verdicts_round_trip_through_synthesis_and_oracle():
 
 
 def test_unsupported_state_count():
-    cost = grid_priced(entropy_cost(Belief.uniform(4)))
-    e = Experiment(np.eye(4))
-    with pytest.raises(InputError):
-        agent_best_response(e, Contract(np.zeros((4, 4))), cost, Belief.uniform(4))
+    # A cost without the entropy or quadratic labels is refused at every
+    # number of states, by agent_best_response and by verify_contract.
+    for n in (2, 3, 4):
+        prior = Belief.uniform(n)
+        cost = grid_priced(entropy_cost(prior))
+        e, contract = Experiment(np.eye(n)), Contract(np.eye(n))
+        with pytest.raises(InputError, match="'entropy' or 'quadratic'"):
+            agent_best_response(e, contract, cost, prior)
+        with pytest.raises(InputError, match="'entropy' or 'quadratic'"):
+            verify_contract(e, posteriors(e, prior), cost, contract)
 
 
 def test_everywhere_infinite_cost_is_an_error():
@@ -340,8 +335,7 @@ def test_everywhere_infinite_cost_is_an_error():
     prior = Belief.uniform(2)
     impossible = custom_cost(
         prior, lambda mu: np.inf, lambda mu: np.zeros(2),
-        strictly_convex=False, infinite_boundary_slope=False,
-        finite_on_boundary=False, validate=False,
+        strictly_convex=False, infinite_boundary_slope=False, validate=False,
     )
     with pytest.raises(InputError):
         agent_best_response(Experiment(np.eye(2)), Contract(np.zeros((2, 2))),
@@ -350,35 +344,36 @@ def test_everywhere_infinite_cost_is_an_error():
 
 def _grid_cases():
     """(experiment, contract, cost, prior, points per axis, target) over
-    every regime the column-generation route must match the full grid LP on."""
+    every regime whose exact-route bracket must hold the full grid LP, and
+    one walled custom cost, which the oracle refuses."""
     rng = np.random.default_rng(41)
     coarse = 101
     cases = []
     for _ in range(4):           # 3 states, Dirichlet priors, random contracts
         prior = Belief(rng.dirichlet(np.full(3, 2.0)))
-        cost = grid_priced(entropy_cost(prior) if rng.random() < 0.5
-                           else quadratic_cost(prior, rng.uniform(0.5, 2)))
+        cost = (entropy_cost(prior) if rng.random() < 0.5
+                else quadratic_cost(prior, rng.uniform(0.5, 2)))
         e = Experiment(random_stochastic(rng, 3, 3))
         cases.append((e, Contract(rng.uniform(0, 2, (3, 3))), cost, prior, coarse, None))
-    for _ in range(4):           # 2 states, random contracts, default grid
+    for _ in range(4):           # 2 states, random contracts, fine grid
         prior = random_interior_prior(rng, 2)
-        cost = grid_priced(entropy_cost(prior) if rng.random() < 0.5
-                           else quadratic_cost(prior, rng.uniform(0.5, 2)))
+        cost = (entropy_cost(prior) if rng.random() < 0.5
+                else quadratic_cost(prior, rng.uniform(0.5, 2)))
         e = Experiment(random_stochastic(rng, 2, 3))
         cases.append((e, Contract(rng.uniform(0, 2, (3, 2))), cost, prior, 2001, None))
     for _ in range(3):           # rank-deficient equal-row kernels, optimal contracts
         e, target, cost = equal_rows_instance(rng)
         contract = optimal_contract(e, target, cost).contract
-        cases.append((e, contract, grid_priced(cost), cost.prior, coarse, target))
+        cases.append((e, contract, cost, cost.prior, coarse, target))
     for _ in range(3):           # 3x2 corner kernels, quadratic cost, optimal contracts
         e, target, cost = corner_multiplier_instance(rng)
         contract = optimal_contract(e, target, cost).contract
-        cases.append((e, contract, grid_priced(cost), cost.prior, coarse, target))
+        cases.append((e, contract, cost, cost.prior, coarse, target))
     prior = Belief([0.3, 0.3, 0.4])              # infinite price where mu_1 > 0.8
     walled = custom_cost(
         prior, lambda mu: np.inf if mu[0] > 0.8 else float(np.sum((mu - prior.probs) ** 2)),
         lambda mu: 2.0 * (mu - prior.probs), strictly_convex=True,
-        infinite_boundary_slope=False, finite_on_boundary=False, validate=False,
+        infinite_boundary_slope=False, validate=False,
     )
     cases.append((Experiment(np.eye(3)), Contract(np.diag([3.0, 1.0, 0.5])), walled, prior,
                   coarse, None))
@@ -386,13 +381,22 @@ def _grid_cases():
 
 
 @pytest.mark.parametrize("case", _grid_cases())
-def test_column_generation_matches_the_full_grid_lp(case, monkeypatch):
+def test_column_generation_matches_the_full_grid_lp(case):
     e, contract, cost, prior, points, target = case
-    monkeypatch.setitem(oracle.DEFAULT_RESOLUTION, e.n_states, points)
+    if cost.kind == "custom":
+        with pytest.raises(InputError, match="'entropy' or 'quadratic'"):
+            agent_best_response(e, contract, cost, prior, target=target)
+        return
     result = agent_best_response(e, contract, cost, prior, target=target)
-    full = grid_lp_best_response(e, contract, cost, prior, points, target=target)
-    assert result.route == "grid"
-    assert abs(result.optimal_value - full) <= 1e-9
+    assert result.route == cost.kind
+    lower, upper = result.bracket
+    assert upper == result.optimal_value
+    assert 0.0 <= upper - lower <= oracle.CERTIFICATE_TOL * max(1.0, abs(lower))
+    # Every grid distribution is worth at most the certified bound, and a
+    # grid that also holds the support is worth at least the support.
+    full = grid_lp_best_response(e, contract, cost, prior, points,
+                                 extra=result.support_beliefs, target=target)
+    assert lower - 1e-9 <= full <= upper + 1e-9
     weights = result.support_weights
     support = np.array([b.probs for b in result.support_beliefs])
     assert weights.min() >= 0.0
@@ -401,75 +405,28 @@ def test_column_generation_matches_the_full_grid_lp(case, monkeypatch):
     assert np.all(np.isfinite(cost.value_many(support)))
 
 
-def _spy_restricted_lp(monkeypatch):
-    """Record each restricted LP's columns and dual plane."""
-    calls = []
-    solve = oracle._restricted_lp
-
-    def spy(points, values, prior):
-        weights, plane = solve(points, values, prior)
-        calls.append((points, plane))
-        return weights, plane
-
-    monkeypatch.setattr(oracle, "_restricted_lp", spy)
-    return calls
-
-
-def _plane_excess(calls, e, contract, cost, prior) -> tuple[float, float]:
-    """Largest amount by which the agent's net value at a grid belief or at
-    the prior exceeds the final dual plane, and the tolerance the route
-    stops at.  The values are recomputed here, not read from the route, in
-    the frame the LP sees: each state's expected payments less their largest."""
-    points = np.vstack([simplex_grid(e.n_states, oracle.DEFAULT_RESOLUTION[e.n_states]),
-                        prior.probs])
-    utilities = e.kernel @ contract.payments
-    utilities = utilities - utilities.max(axis=1, keepdims=True)
-    values = (points @ utilities).max(axis=1) - cost.value_many(points)
-    lifted = np.column_stack([points, np.ones(len(points))])
-    excess = float(np.max(values - lifted @ calls[-1][1]))
-    return excess, oracle.PRICING_TOL * max(1.0, float(np.abs(values).max()))
-
-
-def test_pricing_certifies_an_optimum_outside_the_starting_set(monkeypatch):
-    # Report 1 pays five times report 2, so the highest values all sit near
-    # the first vertex; the envelope also needs an interior belief leaning
-    # to state 2, which the starting set does not hold.
-    calls = _spy_restricted_lp(monkeypatch)
-    prior = Belief([0.6, 0.4])
-    e, contract = Experiment(np.eye(2)), Contract(np.diag([5.0, 1.0]))
-    cost = grid_priced(entropy_cost(prior))
-    result = agent_best_response(e, contract, cost, prior)
-    assert result.pricing_rounds > 1 and len(calls) == result.pricing_rounds
-    support = {tuple(b.probs) for b in result.support_beliefs}
-    starting = {tuple(p) for p in calls[0][0]}
-    assert support - starting
-    excess, tol = _plane_excess(calls, e, contract, cost, prior)
-    assert excess <= tol
-    full = grid_lp_best_response(e, contract, cost, prior, oracle.DEFAULT_RESOLUTION[2])
-    assert abs(result.optimal_value - full) <= 1e-9
-
-
 @pytest.mark.parametrize("payments", [np.zeros((3, 3)), np.array([[1.0] * 3, [0.5] * 3, [2.0] * 3])])
-def test_flat_envelope_is_certified_at_the_prior(monkeypatch, payments):
+def test_flat_envelope_is_certified_at_the_prior(payments):
     # A zero or report-independent contract pays an affine function of the
-    # belief, so the net value is concave and the agent stays at the prior.
-    calls = _spy_restricted_lp(monkeypatch)
-    monkeypatch.setitem(oracle.DEFAULT_RESOLUTION, 3, 101)
+    # belief, so the net value is concave and the agent stays at the prior;
+    # with no target, the quadratic route certifies it after one LP.
     prior = Belief([0.2, 0.5, 0.3])
     e = Experiment([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.2, 0.7]])
-    contract, cost = Contract(payments), grid_priced(entropy_cost(prior))
+    contract, cost = Contract(payments), quadratic_cost(prior)
     result = agent_best_response(e, contract, cost, prior)
-    assert result.optimal_value == pytest.approx(float(prior.probs @ e.kernel @ payments[:, 0]),
-                                                 abs=1e-12)
+    stay = float(prior.probs @ e.kernel @ payments[:, 0])
+    assert result.route == "quadratic" and result.pricing_rounds == 1
+    assert result.optimal_value == pytest.approx(stay, abs=1e-12)
+    lower, upper = result.bracket
+    assert 0.0 <= upper - lower <= oracle.CERTIFICATE_TOL * max(1.0, abs(lower))
     assert len(result.support_beliefs) == 1
     np.testing.assert_allclose(result.support_beliefs[0].probs, prior.probs, atol=1e-12)
-    excess, tol = _plane_excess(calls, e, contract, cost, prior)
-    assert excess <= tol
 
 
 # (kernel, contract, prior, quadratic scale) under which the agent learns
-# nothing, and the chord of the two grid beliefs beside the prior falls short
-# of the prior's own value by less than HiGHS's dual tolerance, 1e-7.
+# nothing, and the best chord through the prior between two beliefs of a
+# 2001-point grid falls short of the prior's own value by less than HiGHS's
+# dual tolerance, 1e-7.
 STAY_AT_PRIOR = [
     ([[0.6522288394293919, 0.3477711605706081], [0.629177982313584, 0.37082201768641604]],
      [[1.9640497098347263, 1.8741536635721607, 2.1767023818236906, 1.2020766607339213],
@@ -488,57 +445,33 @@ STAY_AT_PRIOR = [
 
 @pytest.mark.parametrize("kernel, payments, prior, scale", STAY_AT_PRIOR)
 def test_grid_route_is_worth_at_least_learning_nothing(kernel, payments, prior, scale):
-    # At 2 states the grid optimum is the prior's own value or the best
-    # chord through the prior between grid beliefs either side of it.
+    # The near-tie chords do not lead the quadratic route off the prior.
     e, contract, prior = Experiment(kernel), Contract(payments), Belief(prior)
-    cost = grid_priced(quadratic_cost(prior, scale))
+    cost = quadratic_cost(prior, scale)
     result = agent_best_response(e, contract, cost, prior)
     stay = float((prior.probs @ e.kernel @ contract.payments).max())
     assert _two_state_chords(e, contract, cost, prior) < stay
     assert abs(result.optimal_value - stay) <= 1e-12
     assert len(result.support_beliefs) == 1
-    np.testing.assert_allclose(result.support_beliefs[0].probs, prior.probs, rtol=0, atol=0)
+    np.testing.assert_allclose(result.support_beliefs[0].probs, prior.probs, rtol=0, atol=1e-12)
 
 
-def test_result_reports_columns_and_rounds(binary_instance):
-    prior, cost, target = binary_instance
-    report = optimal_contract(BINARY, target, cost)
-    result = agent_best_response(BINARY, report.contract, grid_priced(cost), prior, target=target)
-    payload = result.to_dict()
-    for key in ("lp_columns", "pricing_rounds"):
-        assert type(payload[key]) is int and payload[key] > 0
-        assert payload[key] == getattr(result, key)
-    assert result.lp_columns < result.n_grid_points
-
-
-def test_three_state_solve_at_401_points_per_axis_stays_small(monkeypatch):
-    rng = np.random.default_rng(43)
-    e, target, cost = equal_rows_instance(rng)
-    contract = optimal_contract(e, target, cost).contract
-    monkeypatch.setitem(oracle.DEFAULT_RESOLUTION, 3, 401)
-    result = agent_best_response(e, contract, grid_priced(cost), cost.prior, target=target)
-    assert result.n_grid_points == 401 * 402 // 2 + 1 + target.size
-    assert result.lp_columns <= 1000
-    assert -1e-9 <= result.gap <= 1e-6
-
-
-def test_failed_restricted_lp_is_a_solver_failure(binary_instance, monkeypatch):
+def test_failed_restricted_lp_is_a_solver_failure(monkeypatch):
     from infocontracts import numerics
 
-    prior, cost, _ = binary_instance
     monkeypatch.setattr(numerics, "linprog", stalled_linprog)
     with pytest.raises(SolverFailureError, match="best-response LP did not resolve: stalled"):
-        agent_best_response(BINARY, Contract(np.eye(2)), grid_priced(cost), prior)
+        agent_best_response(*TWO_ROUNDS)
 
 
 def test_cost_infinite_at_the_prior_is_an_input_error():
+    # Refused as a custom cost, before any price is read.
     prior = Belief([0.5, 0.5])
     walled = custom_cost(
         prior, lambda mu: np.inf if mu[0] >= 0.5 else 0.0, lambda mu: np.zeros(2),
-        strictly_convex=False, infinite_boundary_slope=False,
-        finite_on_boundary=False, validate=False,
+        strictly_convex=False, infinite_boundary_slope=False, validate=False,
     )
-    with pytest.raises(InputError, match="infinite at the prior"):
+    with pytest.raises(InputError, match="'entropy' or 'quadratic' costs only, not 'custom'"):
         agent_best_response(Experiment(np.eye(2)), Contract(np.zeros((2, 2))), walled, prior)
 
 
@@ -669,8 +602,9 @@ def test_entropy_route_builds_no_grid_and_runs_no_lp(binary_instance, monkeypatc
     assert payload["route"] == "entropy" and "grid" not in payload
     assert payload["bracket"] == list(result.bracket)
     assert payload["n_grid_points"] == payload["lp_columns"] == payload["pricing_rounds"] == 0
-    agent_best_response(BINARY, contract, grid_priced(cost), prior)
-    assert "simplex_grid" in calls and "solve_lp" in calls
+    with pytest.raises(InputError, match="'entropy' or 'quadratic'"):
+        agent_best_response(BINARY, contract, grid_priced(cost), prior)
+    assert calls == []
 
 
 def test_entropy_route_past_its_iteration_cap_is_a_solver_failure(binary_instance, monkeypatch):
@@ -785,7 +719,7 @@ def test_quadratic_route_verifies_corner_contracts_beyond_three_states():
         result = agent_best_response(e, report.contract, cost, cost.prior, target=target)
         assert result.route == "quadratic"
         assert -1e-9 <= result.gap <= 1e-6
-        with pytest.raises(InputError, match=f"{n} states"):
+        with pytest.raises(InputError, match="'entropy' or 'quadratic'"):
             agent_best_response(e, report.contract, grid_priced(cost), cost.prior, target=target)
 
 
@@ -817,16 +751,6 @@ def test_quadratic_route_past_its_round_cap_is_a_solver_failure(monkeypatch):
     monkeypatch.setattr(oracle, "MAX_ROUNDS", 1)
     with pytest.raises(SolverFailureError, match="not certified within 1 rounds"):
         agent_best_response(*TWO_ROUNDS)
-
-
-def test_grid_route_past_the_round_cap_is_a_solver_failure(monkeypatch):
-    # The grid route shares the quadratic route's cap; this solve needs a
-    # second round (test_pricing_certifies_an_optimum_outside_the_starting_set).
-    prior = Belief([0.6, 0.4])
-    monkeypatch.setattr(oracle, "MAX_ROUNDS", 1)
-    with pytest.raises(SolverFailureError, match="not certified within 1 rounds"):
-        agent_best_response(Experiment(np.eye(2)), Contract(np.diag([5.0, 1.0])),
-                            grid_priced(entropy_cost(prior)), prior)
 
 
 def _target_start_cases():
