@@ -76,6 +76,17 @@ def _load_target(path: str, prior: Belief) -> PosteriorDistribution:
                  if "kernel" in data else PosteriorDistribution.from_dict(data))
 
 
+def _contract_from_json(data) -> Contract:
+    """A contract given as ``{payments, ...}``, or as the report that
+    ``contract --output`` writes, which nests it under ``"contract"``."""
+    if isinstance(data, dict) and "payments" not in data:
+        data = data.get("contract")
+        if data is None:
+            raise InputError("no payments and no contract (a report on a target "
+                             "that cannot be implemented holds none)")
+    return Contract.from_dict(data)
+
+
 def _jsonable(value):
     if isinstance(value, float) and not math.isfinite(value):
         return "inf" if value > 0 else "-inf"
@@ -242,7 +253,8 @@ def cmd_compare(order, first_path, second_path, fmt, output):
 @main.command("oracle")
 @click.option("--experiment", "experiment_path", required=True)
 @click.option("--cost", "cost_path", required=True)
-@click.option("--contract", "contract_path", required=True)
+@click.option("--contract", "contract_path", required=True,
+              help="A contract {payments, ...}, or the report that contract --output writes.")
 @click.option("--target", "target_path", default=None,
               help="Optional target whose optimality gap should be measured.")
 @_format_option
@@ -251,7 +263,7 @@ def cmd_oracle(experiment_path, cost_path, contract_path, target_path, fmt, outp
     """Solve the agent's learning problem under a given contract."""
     e_p = _load(experiment_path, "experiment", Experiment.from_dict)
     cost = _load(cost_path, "cost", cost_from_dict)
-    contract = _load(contract_path, "contract", Contract.from_dict)
+    contract = _load(contract_path, "contract", _contract_from_json)
     target = None if target_path is None else _load_target(target_path, cost.prior)
     with _library_errors():
         result = agent_best_response(e_p, contract, cost, cost.prior, target=target)

@@ -3,8 +3,11 @@ used by every other module.
 
 Every nonnegative-feasibility question (is there ``x >= 0`` with
 ``A x = b``?) is answered by :func:`nonnegative_fit` and decided by its
-residual.  HiGHS is kept for the LPs that optimize an objective, which are
-all in standard form: ``min c'x`` subject to ``A x = b`` and ``x >= 0``.
+residual; the one fit behind a row-stochastic garbling (Blackwell's order)
+gets its ``kron``-structured matrix written block by block into one array,
+the matrix numpy's Kronecker product gives, at a fraction of its cost.
+HiGHS is kept for the LPs that optimize an objective, which are all in
+standard form: ``min c'x`` subject to ``A x = b`` and ``x >= 0``.
 :func:`solve_lp` calls scipy's bundled HiGHS binding directly (dual simplex
 without presolve, on one solver per thread that is cleared before each LP),
 certifies each optimum by a primal re-check and LP duality to
@@ -278,8 +281,12 @@ def nonnegative_solve(a, b, stochastic: bool = False) -> np.ndarray | None:
     its least residual is at most ``RESIDUAL_TOL * max(1, ||b_j||)``, and
     the first column that fails decides None.  The row sums couple the
     columns of a stochastic ``G``, so it is one fit over ``G`` flattened
-    column by column, where ``kron(I, a)`` maps it onto the columns of
-    ``b``, decided the same way on the whole right-hand side.
+    column by column, decided the same way on the whole right-hand side.
+    Its matrix ``[kron(I, a); kron(1', I)]`` is written block by block
+    into one zeroed array, with no Kronecker-product call: the upper rows
+    hold ``a`` in each diagonal block and map the flattened ``G`` onto the
+    columns of ``b``; the last rows hold one identity per block column and
+    sum each row of ``G``.
     """
     a, b = as_matrix(a), as_matrix(b)
     if not stochastic:
@@ -290,8 +297,11 @@ def nonnegative_solve(a, b, stochastic: bool = False) -> np.ndarray | None:
                 return None
             columns.append(x)
         return np.column_stack(columns)
-    m_a, m_b = a.shape[1], b.shape[1]
-    coef = np.vstack([np.kron(np.eye(m_b), a), np.kron(np.ones((1, m_b)), np.eye(m_a))])
+    (n, m_a), m_b = a.shape, b.shape[1]
+    coef = np.zeros((m_b * n + m_a, m_b * m_a))
+    steps = np.arange(m_b)
+    coef[:m_b * n].reshape(m_b, n, m_b, m_a)[steps, :, steps, :] = a
+    coef[m_b * n:].reshape(m_a, m_b, m_a)[np.arange(m_a), :, np.arange(m_a)] = 1.0
     rhs = np.concatenate([b.flatten(order="F"), np.ones(m_a)])
     x, residual = nonnegative_fit(coef, rhs)
     if residual > RESIDUAL_TOL * max(1.0, float(np.linalg.norm(rhs))):

@@ -351,6 +351,40 @@ def test_contract_json_round_trips_through_oracle_command(runner, tmp_path):
     assert json.loads(result.output)["gap"] <= 1e-5
 
 
+def test_oracle_reads_the_contract_report_as_written(runner, tmp_path):
+    # the --output file of contract, unchanged, is a valid --contract
+    inputs = [
+        "--experiment", write(tmp_path, "e.json", BINARY),
+        "--cost", write(tmp_path, "c.json", ENTROPY2),
+    ]
+    target = ["--target", write(tmp_path, "t.json", BINARY_TARGET)]
+    report = str(tmp_path / "report.json")
+    assert runner.invoke(main, ["contract", *inputs, *target, "--output", report]).exit_code == 0
+    result = runner.invoke(main, ["oracle", *inputs, *target, "--contract", report])
+    assert result.exit_code == 0, result.output
+    payments = json.loads((tmp_path / "report.json").read_text())["contract"]["payments"]
+    plain = write(tmp_path, "k.json", {"payments": payments})
+    assert result.output == runner.invoke(main, ["oracle", *inputs, *target,
+                                                 "--contract", plain]).output
+    assert json.loads(result.output)["gap"] <= 1e-5
+
+
+def test_oracle_refuses_a_report_without_a_contract(runner, tmp_path):
+    inputs = [
+        "--experiment", write(tmp_path, "e.json", RANK2),
+        "--cost", write(tmp_path, "c.json", ENTROPY3),
+    ]
+    report = str(tmp_path / "report.json")
+    result = runner.invoke(main, ["contract", *inputs, "--target",
+                                  write(tmp_path, "t.json", OFF_LINE), "--output", report])
+    assert result.exit_code == 3
+    assert json.loads((tmp_path / "report.json").read_text())["contract"] is None
+    result = runner.invoke(main, ["oracle", *inputs, "--contract", report])
+    assert result.exit_code == 2
+    assert "report.json" in result.output and "no contract" in result.output
+    assert "Traceback" not in result.output
+
+
 def test_solver_failures_exit_4_without_a_traceback(runner, tmp_path, monkeypatch):
     from infocontracts import numerics
 

@@ -432,6 +432,32 @@ def test_only_a_null_basis_builds_full_factors(monkeypatch):
         np.testing.assert_allclose(a @ result.null_basis, 0.0, atol=1e-9)
 
 
+@pytest.mark.parametrize("n, m_a, m_b", [(2, 2, 2), (3, 4, 3), (4, 6, 6), (3, 4, 1),
+                                          (5, 2, 3), (2, 7, 4)],
+                         ids=["2x2-2x2", "3x4-3x3", "4x6-4x6", "one-column", "tall", "wide"])
+def test_stochastic_fit_matrix_is_the_kron_system(monkeypatch, n, m_a, m_b):
+    # The garbling fit writes [kron(I, a); kron(1', I)] block by block; it
+    # must be that matrix exactly, and its garbling must reproduce b.
+    coefs = []
+    nnls = numerics.nnls
+
+    def recorded(a, b):
+        coefs.append(a.copy())
+        return nnls(a, b)
+
+    monkeypatch.setattr(numerics, "nnls", recorded)
+    rng = np.random.default_rng(n * 100 + m_a * 10 + m_b)
+    a = rng.dirichlet(np.ones(m_a), size=n)
+    b = a @ rng.dirichlet(np.ones(m_b), size=m_a)
+    g = numerics.nonnegative_solve(a, b, stochastic=True)
+    reference = np.vstack([np.kron(np.eye(m_b), a), np.kron(np.ones((1, m_b)), np.eye(m_a))])
+    assert len(coefs) == 1
+    assert coefs[0].shape == reference.shape and np.array_equal(coefs[0], reference)
+    assert g.shape == (m_a, m_b) and g.min() >= 0.0
+    np.testing.assert_allclose(g.sum(axis=1), 1.0, atol=1e-9)
+    np.testing.assert_allclose(a @ g, b, atol=1e-9)
+
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Runs here and in a fresh interpreter: one payment LP on a kernel with a null
