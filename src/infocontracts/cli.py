@@ -2,7 +2,8 @@
 
 Every command is a thin wrapper over the library: inputs are JSON files (or
 ``-`` for stdin), outputs are JSON (default) or plain-text tables.  Exit
-codes: 0 on success, 2 on malformed input, 3 when a negative verdict must
+codes: 0 on success, 2 on malformed input or an ``--output`` path that
+cannot be written, 3 when a negative verdict must
 fail the pipeline (``implementable --strict``, or ``contract`` on a target
 that cannot be implemented), 4 when a solver (HiGHS, or the nonnegative
 least-squares iteration) gives no trustworthy answer.  Options come from
@@ -65,7 +66,7 @@ def _load(path: str, what: str, build):
         raise CliInputError(f"cannot read {what} from {path}: {exc}") from exc
     try:
         return build(data)
-    except (InputError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise CliInputError(f"bad {what} in {path}: {exc}") from exc
 
 
@@ -100,8 +101,11 @@ def _jsonable(value):
 def _emit(payload: dict, output: str | None, as_table, table: bool) -> None:
     text = as_table(payload) if table else json.dumps(_jsonable(payload), indent=2)
     if output:
-        with open(output, "w") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(output, "w") as handle:
+                handle.write(text + "\n")
+        except OSError as exc:
+            raise CliInputError(f"cannot write the report to {output}: {exc}") from exc
     else:
         click.echo(text)
 

@@ -5,7 +5,8 @@ zero at the prior, and the cost of a posterior distribution is the
 probability-weighted sum of prices.  The marginal-cost map returns the
 gradient of ``c`` pinned down by the normalization ``mu . grad(mu) = c(mu)``,
 so each gradient encodes the full supporting hyperplane of ``c`` at ``mu``
-(its values at the vertices of the simplex).
+(its values at the vertices of the simplex).  Beliefs lie along the last
+axis: one belief or rows of them, so a whole target is priced in one call.
 
 Gradients may carry ``+/-inf`` entries at boundary beliefs; operations that
 cannot consume extended reals raise typed errors instead of propagating NaN.
@@ -20,19 +21,24 @@ from typing import Callable
 import numpy as np
 
 from .errors import BoundaryMarginalCostError, DimensionMismatchError, InputError
-from .experiments import Belief, PosteriorDistribution
+from .experiments import INTERIOR_THRESHOLD, Belief, PosteriorDistribution
 
 NORMALIZATION_TOL = 1e-9
+# custom_cost spot-checks VALIDATION_SAMPLES random segments, seeded.
+VALIDATION_SAMPLES = 64
+VALIDATION_SEED = 0
 
 
 @dataclass(frozen=True, eq=False)
 class PosteriorCost:
     """A pluggable posterior cost: price map, normalized gradient, flags.
 
-    ``value`` maps a belief vector to an extended real; ``gradient`` maps an
-    interior (or, for boundary-finite costs, any) belief vector to the
-    normalized gradient.  The two flags describe strict convexity and
-    whether the slope blows up at the simplex boundary.
+    ``value`` and ``gradient`` map beliefs along the last axis: one belief
+    ``(N,)`` to its extended-real price and its normalized gradient
+    ``(N,)``, rows ``(K, N)`` to ``K`` prices and ``K x N`` gradients
+    (interior beliefs, or any for boundary-finite costs).  The two flags
+    describe strict convexity and whether the slope blows up at the
+    simplex boundary.
 
     ``kind`` and ``params`` label the prices for serialization and for the
     oracle: ``kind == "entropy"`` with a ``log_base`` param promises the
@@ -45,11 +51,10 @@ class PosteriorCost:
 
     kind: str
     prior: Belief
-    value: Callable[[np.ndarray], float]
+    value: Callable[[np.ndarray], np.ndarray]
     gradient: Callable[[np.ndarray], np.ndarray]
     strictly_convex: bool
     infinite_boundary_slope: bool
-    value_batch: Callable[[np.ndarray], np.ndarray] | None = None
     params: dict = field(default_factory=dict)
 
     def value_at(self, belief) -> float:
@@ -57,14 +62,6 @@ class PosteriorCost:
 
     def gradient_at(self, belief) -> np.ndarray:
         return np.asarray(self.gradient(_probs(belief, self.prior.n_states)), dtype=float)
-
-    def value_many(self, points: np.ndarray) -> np.ndarray:
-        """Price evaluation over rows of ``points``, vectorized when the
-        cost supplies a batch implementation."""
-        points = np.asarray(points, dtype=float)
-        if self.value_batch is not None:
-            return np.asarray(self.value_batch(points), dtype=float)
-        return np.array([self.value(p) for p in points])
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "prior": self.prior.probs.tolist(), **self.params}
@@ -96,30 +93,20 @@ def entropy_cost(prior, log_base: float = math.e) -> PosteriorCost:
     if log_base <= 1.0:
         raise InputError("log_base must exceed 1")
     scale = 1.0 / math.log(log_base)
+    h0 = -float(np.sum(prior.probs * np.log(prior.probs)))
 
-    def entropy(p: np.ndarray) -> float:
+    def value(p: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = np.where(p > 0.0, p * np.log(p), 0.0)
-        return -float(terms.sum())
-
-    h0 = entropy(prior.probs)
-
-    def value(p: np.ndarray) -> float:
-        return scale * (h0 - entropy(p))
+        return scale * (h0 + terms.sum(axis=-1))
 
     def gradient(p: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore"):
             return scale * (np.log(p) + h0)
 
-    def value_batch(points: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(points > 0.0, points * np.log(points), 0.0)
-        return scale * (h0 + terms.sum(axis=1))
-
     return PosteriorCost(
         kind="entropy", prior=prior, value=value, gradient=gradient,
-        strictly_convex=True, infinite_boundary_slope=True,
-        value_batch=value_batch, params={"log_base": log_base},
+        strictly_convex=True, infinite_boundary_slope=True, params={"log_base": log_base},
     )
 
 
@@ -134,20 +121,16 @@ def quadratic_cost(prior, scale: float = 1.0) -> PosteriorCost:
         raise InputError("scale must be positive")
     anchor = prior.probs
 
-    def value(p: np.ndarray) -> float:
-        return scale * float(np.sum((p - anchor) ** 2))
+    def value(p: np.ndarray) -> np.ndarray:
+        return scale * np.sum((p - anchor) ** 2, axis=-1)
 
     def gradient(p: np.ndarray) -> np.ndarray:
         raw = 2.0 * scale * (p - anchor)
-        return raw + (value(p) - p @ raw)
-
-    def value_batch(points: np.ndarray) -> np.ndarray:
-        return scale * np.sum((points - anchor[None, :]) ** 2, axis=1)
+        return raw + np.expand_dims(value(p) - np.sum(p * raw, axis=-1), -1)
 
     return PosteriorCost(
         kind="quadratic", prior=prior, value=value, gradient=gradient,
-        strictly_convex=True, infinite_boundary_slope=False,
-        value_batch=value_batch, params={"scale": scale},
+        strictly_convex=True, infinite_boundary_slope=False, params={"scale": scale},
     )
 
 
@@ -164,43 +147,49 @@ def cost_from_dict(data: dict) -> PosteriorCost:
     raise InputError(f"unknown cost kind {kind!r}; expected 'entropy' or 'quadratic'")
 
 
-def custom_cost(prior, value, gradient, *, kind: str = "custom",
-                strictly_convex: bool, infinite_boundary_slope: bool,
-                validate: bool = True, rng=None) -> PosteriorCost:
-    """Register a user-supplied posterior cost.
+def custom_cost(prior, value, gradient, *, strictly_convex: bool,
+                infinite_boundary_slope: bool, validate: bool = True) -> PosteriorCost:
+    """Register a user-supplied posterior cost of kind ``"custom"``.
 
-    When ``validate`` is set, the zero-at-prior, normalization, and
-    convexity requirements are spot-checked on random interior beliefs
+    ``value`` and ``gradient`` map one belief; the cost applies them to
+    each row.  When ``validate`` is set, the zero-at-prior, normalization,
+    and convexity requirements are spot-checked on random interior beliefs
     before the cost is accepted.
     """
     prior = _require_interior_prior(prior)
     cost = PosteriorCost(
-        kind=kind, prior=prior, value=value, gradient=gradient,
+        kind="custom", prior=prior, value=_over_rows(value), gradient=_over_rows(gradient),
         strictly_convex=strictly_convex,
         infinite_boundary_slope=infinite_boundary_slope,
     )
     if validate:
-        _validate_cost(cost, rng=rng)
+        _validate_cost(cost)
     return cost
 
 
-def _validate_cost(cost: PosteriorCost, samples: int = 64, rng=None) -> None:
-    rng = np.random.default_rng(0) if rng is None else rng
-    n = cost.prior.n_states
+def _over_rows(f: Callable[[np.ndarray], object]) -> Callable[[np.ndarray], np.ndarray]:
+    """A map of one belief, applied to each belief along the last axis."""
+    return lambda p: np.apply_along_axis(lambda row: np.asarray(f(row), dtype=float), -1, p)
+
+
+def _validate_cost(cost: PosteriorCost) -> None:
+    rng = np.random.default_rng(VALIDATION_SEED)
     if abs(cost.value_at(cost.prior)) > NORMALIZATION_TOL:
         raise InputError("cost must be zero at its prior")
-    draws = rng.dirichlet(np.ones(n), size=(samples, 3))
-    for mu, mu2, _ in draws:
-        c = cost.value_at(mu)
-        if c < -NORMALIZATION_TOL:
-            raise InputError("cost must be nonnegative on interior beliefs")
-        grad = cost.gradient_at(mu)
-        if np.all(np.isfinite(grad)) and abs(mu @ grad - c) > NORMALIZATION_TOL * max(1.0, abs(c)):
-            raise InputError("gradient violates the normalization mu . grad = c(mu)")
-        alpha = rng.uniform(0.1, 0.9)
-        mid = alpha * mu + (1 - alpha) * mu2
-        if cost.value_at(mid) > alpha * c + (1 - alpha) * cost.value_at(mu2) + NORMALIZATION_TOL:
-            raise InputError("cost fails convexity on a sampled segment")
+    draws = rng.dirichlet(np.ones(cost.prior.n_states), size=(VALIDATION_SAMPLES, 3))
+    mu, mu2 = draws[:, 0], draws[:, 1]
+    c = cost.value(mu)
+    if np.any(c < -NORMALIZATION_TOL):
+        raise InputError("cost must be nonnegative on interior beliefs")
+    grad = cost.gradient(mu)
+    finite = np.isfinite(grad).all(axis=1)
+    slack = np.abs(np.sum(mu[finite] * grad[finite], axis=1) - c[finite])
+    if np.any(slack > NORMALIZATION_TOL * np.maximum(1.0, np.abs(c[finite]))):
+        raise InputError("gradient violates the normalization mu . grad = c(mu)")
+    alpha = rng.uniform(0.1, 0.9, size=VALIDATION_SAMPLES)
+    mid = alpha[:, None] * mu + (1 - alpha[:, None]) * mu2
+    if np.any(cost.value(mid) > alpha * c + (1 - alpha) * cost.value(mu2) + NORMALIZATION_TOL):
+        raise InputError("cost fails convexity on a sampled segment")
 
 
 def marginal_cost_matrix(cost: PosteriorCost, d: PosteriorDistribution) -> np.ndarray:
@@ -213,27 +202,24 @@ def marginal_cost_matrix(cost: PosteriorCost, d: PosteriorDistribution) -> np.nd
     """
     if d.n_states != cost.prior.n_states:
         raise DimensionMismatchError("distribution and cost live on different state spaces")
-    columns = []
-    for belief in d.beliefs:
-        if not belief.is_interior() and cost.infinite_boundary_slope:
+    posts = d.posterior_matrix()
+    if cost.infinite_boundary_slope:
+        boundary = np.flatnonzero((posts < INTERIOR_THRESHOLD).any(axis=0))
+        if boundary.size:
             raise BoundaryMarginalCostError(
-                f"posterior {belief} sits on the simplex boundary and the "
-                f"'{cost.kind}' cost has unbounded slope there"
+                f"posterior {Belief(posts[:, boundary[0]])} sits on the simplex boundary "
+                f"and the '{cost.kind}' cost has unbounded slope there"
             )
-        columns.append(cost.gradient_at(belief))
-    matrix = np.column_stack(columns)
+    matrix = np.asarray(cost.gradient(posts.T), dtype=float).T
     matrix.setflags(write=False)
     return matrix
 
 
 def total_cost(cost: PosteriorCost, d: PosteriorDistribution) -> float:
-    """Probability-weighted sum of prices; ``+inf`` propagates."""
+    """Probability-weighted sum of prices; ``+inf`` if any price is infinite."""
     if d.n_states != cost.prior.n_states:
         raise DimensionMismatchError("distribution and cost live on different state spaces")
-    total = 0.0
-    for belief, weight in d.support:
-        price = cost.value_at(belief)
-        if math.isinf(price):
-            return math.inf
-        total += weight * price
-    return total
+    prices = cost.value(d.posterior_matrix().T)
+    if np.isinf(prices).any():
+        return math.inf
+    return float(d.weights @ prices)

@@ -9,7 +9,7 @@ All values here are immutable and freely shareable across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,9 +35,20 @@ WEIGHT_SUM_TOL = 1e-9
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float)
+    out = np.array(arr, dtype=float, order="C")
     out.setflags(write=False)
     return out
+
+
+def _on_simplex(probs: np.ndarray) -> np.ndarray:
+    """``probs``, one belief or rows of them, checked to lie on the
+    probability simplex and clipped at zero."""
+    if probs.shape[-1] < 1 or not np.isfinite(probs).all():
+        raise InputError("belief must be a finite probability vector")
+    off = (probs.min(axis=-1) < -SIMPLEX_TOL) | (abs(probs.sum(axis=-1) - 1.0) > SUM_TOL)
+    if off.any():
+        raise InputError(f"belief {probs[off][0]} is not on the probability simplex")
+    return probs.clip(0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,11 +59,7 @@ class Belief:
 
     def __init__(self, probs):
         probs = np.asarray(probs, dtype=float).reshape(-1)
-        if probs.size < 1 or not np.all(np.isfinite(probs)):
-            raise InputError("belief must be a finite probability vector")
-        if np.any(probs < -SIMPLEX_TOL) or abs(probs.sum() - 1.0) > SUM_TOL:
-            raise InputError(f"belief {probs} is not on the probability simplex")
-        object.__setattr__(self, "probs", _frozen(np.clip(probs, 0.0, None)))
+        object.__setattr__(self, "probs", _frozen(_on_simplex(probs)))
 
     @classmethod
     def uniform(cls, n_states: int) -> "Belief":
@@ -133,51 +140,53 @@ class Experiment:
 class PosteriorDistribution:
     """Finite support of beliefs with probability weights.
 
-    ``dropped`` records realization labels whose unconditional probability
-    was (numerically) zero when the distribution was derived from an
+    ``matrix`` is the read-only N x K array of the posteriors (columns),
+    built once from ``beliefs`` (``Belief`` values or vectors).  ``dropped``
+    records realization labels whose unconditional probability was
+    (numerically) zero when the distribution was derived from an
     experiment; they carry no posterior.
     """
 
-    beliefs: tuple[Belief, ...]
+    matrix: np.ndarray
     weights: np.ndarray
     dropped: tuple[str, ...] = ()
 
     def __init__(self, beliefs, weights, dropped=()):
-        beliefs = tuple(b if isinstance(b, Belief) else Belief(b) for b in beliefs)
+        rows = [b.probs if isinstance(b, Belief) else np.asarray(b, dtype=float).reshape(-1)
+                for b in beliefs]
         weights = np.asarray(weights, dtype=float).reshape(-1)
-        if len(beliefs) != weights.size or len(beliefs) == 0:
+        if len(rows) != weights.size or len(rows) == 0:
             raise DimensionMismatchError("need one weight per belief")
+        if len({row.size for row in rows}) > 1:
+            raise DimensionMismatchError("beliefs live on different state spaces")
         if np.any(weights < -SIMPLEX_TOL) or abs(weights.sum() - 1.0) > WEIGHT_SUM_TOL:
             raise InputError("weights must be a probability vector")
-        n = beliefs[0].n_states
-        if any(b.n_states != n for b in beliefs):
-            raise DimensionMismatchError("beliefs live on different state spaces")
-        object.__setattr__(self, "beliefs", beliefs)
+        object.__setattr__(self, "matrix", _frozen(_on_simplex(np.array(rows)).T))
         object.__setattr__(self, "weights", _frozen(np.clip(weights, 0.0, None)))
         object.__setattr__(self, "dropped", tuple(dropped))
 
     @property
-    def support(self) -> tuple:
-        return tuple(zip(self.beliefs, self.weights))
+    def beliefs(self) -> tuple[Belief, ...]:
+        return tuple(Belief(column) for column in self.matrix.T)
 
     @property
     def n_states(self) -> int:
-        return self.beliefs[0].n_states
+        return self.matrix.shape[0]
 
     @property
     def size(self) -> int:
-        return len(self.beliefs)
+        return self.matrix.shape[1]
 
     def posterior_matrix(self) -> np.ndarray:
-        """N x K matrix whose k-th column is the k-th posterior."""
-        return np.column_stack([b.probs for b in self.beliefs])
+        """The read-only N x K matrix whose k-th column is the k-th posterior."""
+        return self.matrix
 
     def mean(self) -> np.ndarray:
-        return self.posterior_matrix() @ self.weights
+        return self.matrix @ self.weights
 
     def to_dict(self) -> dict:
         return {
-            "posteriors": [b.probs.tolist() for b in self.beliefs],
+            "posteriors": self.matrix.T.tolist(),
             "weights": self.weights.tolist(),
             "dropped": list(self.dropped),
         }
@@ -201,8 +210,7 @@ def posteriors(e: Experiment, prior: Belief) -> PosteriorDistribution:
     keep = unconditional > DROP_TOL
     dropped = tuple(label for label, k in zip(e.realizations, keep) if not k)
     posts = (prior.probs[:, None] * e.kernel[:, keep]) / unconditional[keep]
-    beliefs = [Belief(posts[:, j]) for j in range(posts.shape[1])]
-    return PosteriorDistribution(beliefs, unconditional[keep] / unconditional[keep].sum(), dropped)
+    return PosteriorDistribution(posts.T, unconditional[keep] / unconditional[keep].sum(), dropped)
 
 
 def is_bayes_plausible(d: PosteriorDistribution, prior: Belief) -> bool:

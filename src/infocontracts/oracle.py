@@ -157,7 +157,7 @@ class OracleResult:
 
 def _net_values(points: np.ndarray, utilities: np.ndarray, cost: PosteriorCost) -> np.ndarray:
     payoff = points @ utilities
-    return payoff.max(axis=1) - cost.value_many(points)
+    return payoff.max(axis=1) - cost.value(points)
 
 
 def _restricted_lp(points: np.ndarray, values: np.ndarray, prior: np.ndarray):
@@ -563,7 +563,7 @@ def agent_best_response(e_p: Experiment, t: Contract, cost: PosteriorCost,
     if target is not None:
         posts = target.posterior_matrix().T
         value = float(target.weights @ (np.einsum("kn,nk->k", posts, utilities)
-                                        - cost.value_many(posts)))
+                                        - cost.value(posts)))
         result = replace(result, target_value=value + offset, gap=result.optimal_value - value)
     return replace(result, optimal_value=result.optimal_value + offset,
                    bracket=tuple(end + offset for end in result.bracket))

@@ -324,7 +324,7 @@ def grid_lp_best_response(e_p, contract, cost, prior, points_per_axis, extra=(),
         points.append(target.posterior_matrix().T)
     points += [b.probs[None, :] for b in extra]
     points = np.vstack(points)
-    values = (points @ e_p.kernel @ contract.payments).max(axis=1) - cost.value_many(points)
+    values = (points @ e_p.kernel @ contract.payments).max(axis=1) - cost.value(points)
     finite = np.isfinite(values)
     points, values = points[finite], values[finite]
     res = linprog(-values, A_eq=np.vstack([points.T, np.ones(len(points))]),

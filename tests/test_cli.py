@@ -512,3 +512,87 @@ def test_contract_verify_on_four_states(runner, tmp_path):
     assert result.exit_code == 0, result.output
     payload = json.loads(result.output)
     assert -1e-9 <= payload["oracle_gap"] <= 1e-5
+
+
+def test_ragged_or_non_numeric_arrays_exit_2(runner, tmp_path):
+    ragged = write(tmp_path, "ragged.json", {"kernel": [[0.5, 0.5], [1.0]]})
+    binary = write(tmp_path, "e.json", BINARY)
+    cost = write(tmp_path, "c.json", ENTROPY2)
+    runs = [
+        (["compare", "--order", "col", "--first", ragged, "--second", binary],
+         "bad experiment"),
+        (["oracle", "--experiment", binary, "--cost", cost,
+          "--contract", write(tmp_path, "k.json", {"payments": "abc"})], "bad contract"),
+        (["contract", "--experiment", binary, "--cost", cost, "--target",
+          write(tmp_path, "t.json", {"posteriors": [[0.7, 0.3], [1.0]], "weights": [0.5, 0.5]})],
+         "bad target"),
+    ]
+    for args, message in runs:
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+
+
+def test_output_into_a_missing_directory_exits_2(runner, tmp_path):
+    missing = tmp_path / "missing" / "report.json"
+    result = runner.invoke(main, ["compare", "--order", "col",
+                                  "--first", write(tmp_path, "e1.json", BINARY),
+                                  "--second", write(tmp_path, "e2.json", BINARY_SKEWED),
+                                  "--output", str(missing)])
+    assert result.exit_code == 2, result.output
+    assert str(missing) in result.output and not missing.parent.exists()
+
+
+def test_table_formats_of_contract_compare_and_oracle(runner, tmp_path):
+    inputs = [
+        "--experiment", write(tmp_path, "e.json", BINARY),
+        "--cost", write(tmp_path, "c.json", ENTROPY2),
+    ]
+    target = ["--target", write(tmp_path, "t.json", BINARY_TARGET)]
+    result = runner.invoke(main, ["contract", "--verify", "--format", "table", *inputs, *target])
+    assert result.exit_code == 0, result.output
+    lines = result.output.splitlines()
+    assert lines[0].startswith("kappa: ")
+    assert any(line.startswith("oracle_gap: ") for line in lines)
+    payments = lines[lines.index("payments:") + 1:]
+    assert len(payments) == 2 and all(len(row.split()) == 2 for row in payments)
+
+    result = runner.invoke(main, ["compare", "--order", "k2", "--format", "table",
+                                  "--first", write(tmp_path, "e1.json", BINARY),
+                                  "--second", write(tmp_path, "e2.json", BINARY_SKEWED)])
+    assert result.exit_code == 0, result.output
+    assert result.output == "order: binary_indirect_cost\nrelation: dominates\nstrict\n"
+
+    contract = write(tmp_path, "k.json", {"payments": [[2.0, 0.0], [0.0, 2.0]]})
+    result = runner.invoke(main, ["oracle", "--format", "table", *inputs, *target,
+                                  "--contract", contract])
+    assert result.exit_code == 0, result.output
+    lines = result.output.splitlines()
+    assert [line.split(":")[0] for line in lines[:4]] == [
+        "optimal value", "target value", "gap", "support"]
+    assert len(lines) > 4 and all(" @ (" in line for line in lines[4:])
+
+
+def test_demo_rank2_table_without_json(runner):
+    result = runner.invoke(main, ["demo", "appendixE"])
+    assert result.exit_code == 0, result.output
+    lines = result.output.splitlines()
+    assert lines[0].startswith("implementability of the two targets")
+    verdicts = dict(line.strip().split(": ", 1) for line in lines[1:])
+    assert sorted(verdicts) == ["E1/off_line", "E1/on_line", "E2/off_line", "E2/on_line"]
+    for key, implementable in (("E1/on_line", "True"), ("E1/off_line", "False"),
+                               ("E2/off_line", "True"), ("E2/on_line", "False")):
+        assert verdicts[key].startswith(implementable + " (residuals: ")
+
+
+def test_contract_no_ll_on_a_target_that_cannot_be_implemented_exits_3(runner, tmp_path):
+    args = [
+        "contract", "--no-ll",
+        "--experiment", write(tmp_path, "e.json", {"kernel": [[0.5, 0.5], [0.5, 0.5]]}),
+        "--target", write(tmp_path, "t.json", BINARY_TARGET),
+        "--cost", write(tmp_path, "c.json", ENTROPY2),
+    ]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 3, result.output
+    payload = json.loads(result.output)
+    assert payload["kappa"] == "inf" and payload["reason"]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from infocontracts import (
     Belief,
     BoundaryMarginalCostError,
+    DimensionMismatchError,
     InputError,
     PosteriorDistribution,
     cost_from_dict,
@@ -236,6 +237,18 @@ def test_custom_cost_validation_catches_bad_plugins():
         custom_cost(prior, nonconvex_value, nonconvex_gradient, strictly_convex=False,
                     infinite_boundary_slope=False)
 
+    # Nonnegative and normalized, but concave along rays from the prior.
+    def root_value(mu):
+        return float(np.sum((mu - prior.probs) ** 2)) ** 0.25
+
+    def root_gradient(mu):
+        raw = 0.5 * float(np.sum((mu - prior.probs) ** 2)) ** -0.75 * (mu - prior.probs)
+        return raw + (root_value(mu) - mu @ raw)
+
+    with pytest.raises(InputError, match="convexity"):
+        custom_cost(prior, root_value, root_gradient, strictly_convex=False,
+                    infinite_boundary_slope=False)
+
 
 def test_cost_from_dict():
     cost = cost_from_dict({"kind": "entropy", "prior": [0.5, 0.5]})
@@ -253,3 +266,58 @@ def test_cost_serialization_round_trip():
     assert clone.value_at(mu) == quad.value_at(mu)
     bits = entropy_cost(Belief.uniform(2), log_base=2.0)
     assert cost_from_dict(bits.to_dict()).value_at(mu) == pytest.approx(bits.value_at(mu))
+
+
+def _plugin_quadratic(prior):
+    def value(mu):
+        return float(np.sum((mu - prior.probs) ** 2))
+
+    def gradient(mu):
+        raw = 2.0 * (mu - prior.probs)
+        return raw + (value(mu) - mu @ raw)
+
+    return custom_cost(prior, value, gradient, strictly_convex=True,
+                       infinite_boundary_slope=False)
+
+
+@pytest.mark.parametrize("build", [entropy_cost, quadratic_cost, _plugin_quadratic])
+def test_prices_and_gradients_map_rows_of_beliefs(build):
+    prior = Belief([0.2, 0.3, 0.5])
+    cost = build(prior)
+    rows = np.random.default_rng(5).dirichlet(np.ones(3), size=6)
+    values, gradients = cost.value(rows), cost.gradient(rows)
+    assert values.shape == (6,) and gradients.shape == (6, 3)
+    for row, value, gradient in zip(rows, values, gradients):
+        assert value == pytest.approx(cost.value_at(row), rel=1e-14, abs=1e-16)
+        np.testing.assert_allclose(gradient, cost.gradient_at(row), rtol=1e-14, atol=1e-16)
+    # The per-belief loop is the reference; sums may run in another order.
+    target = PosteriorDistribution(rows, np.full(6, 1 / 6))
+    nabla = marginal_cost_matrix(cost, target)
+    assert nabla.shape == (3, 6) and not nabla.flags.writeable
+    np.testing.assert_allclose(nabla, np.column_stack([cost.gradient_at(b) for b in target.beliefs]),
+                               rtol=1e-14, atol=1e-16)
+    expected = sum(w * cost.value_at(b) for b, w in zip(target.beliefs, target.weights))
+    assert total_cost(cost, target) == pytest.approx(expected, rel=1e-14)
+
+
+def test_a_plugin_cost_is_custom_and_takes_no_kind_or_rng():
+    cost = _plugin_quadratic(Belief.uniform(2))
+    assert cost.kind == "custom" and cost.params == {}
+    with pytest.raises(TypeError):
+        custom_cost(cost.prior, cost.value, cost.gradient, kind="quadratic",
+                    strictly_convex=True, infinite_boundary_slope=False)
+
+
+def test_pricing_a_target_on_other_states_is_a_dimension_mismatch():
+    cost = entropy_cost(Belief.uniform(2))
+    three = PosteriorDistribution([[0.5, 0.25, 0.25], [0.25, 0.25, 0.5]], [0.5, 0.5])
+    for price in (total_cost, marginal_cost_matrix):
+        with pytest.raises(DimensionMismatchError, match="state spaces"):
+            price(cost, three)
+
+
+def test_the_boundary_error_names_the_first_boundary_posterior():
+    cost = entropy_cost(Belief.uniform(2))
+    dist = PosteriorDistribution([[0.5, 0.5], [0.0, 1.0], [1.0, 0.0]], [0.5, 0.25, 0.25])
+    with pytest.raises(BoundaryMarginalCostError, match=r"Belief\(\[0\. 1\.\]\)"):
+        marginal_cost_matrix(cost, dist)

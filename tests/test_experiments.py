@@ -217,3 +217,16 @@ def test_serialization_round_trip():
     d = PosteriorDistribution([[0.7, 0.3], [0.3, 0.7]], [0.5, 0.5])
     round_tripped = PosteriorDistribution.from_dict(d.to_dict())
     np.testing.assert_allclose(round_tripped.weights, d.weights)
+
+
+def test_a_distribution_holds_one_read_only_posterior_matrix():
+    dist = PosteriorDistribution([Belief([0.2, 0.8]), [0.6, 0.4]], [0.5, 0.5])
+    matrix = dist.posterior_matrix()
+    assert matrix is dist.posterior_matrix() and not matrix.flags.writeable
+    np.testing.assert_array_equal(matrix, [[0.2, 0.6], [0.8, 0.4]])
+    assert [b.probs.tolist() for b in dist.beliefs] == [[0.2, 0.8], [0.6, 0.4]]
+    assert not hasattr(dist, "support")
+    with pytest.raises(DimensionMismatchError, match="state spaces"):
+        PosteriorDistribution([[0.5, 0.5], [1.0]], [0.5, 0.5])
+    with pytest.raises(InputError, match="simplex"):
+        PosteriorDistribution([[0.5, 0.5], [0.9, 0.3]], [0.5, 0.5])

@@ -11,6 +11,7 @@ from helpers import (
 from infocontracts import (
     Belief,
     BoundaryMarginalCostError,
+    DimensionMismatchError,
     Experiment,
     InputError,
     PosteriorDistribution,
@@ -326,3 +327,10 @@ def test_corner_lp_without_a_trustworthy_answer_is_a_solver_failure(monkeypatch)
     monkeypatch.setattr(numerics, "nnls", stalled)
     with pytest.raises(SolverFailureError, match="stalled"):
         check_implementable(e, target, cost)
+
+
+def test_an_experiment_and_a_target_on_different_states_are_a_dimension_mismatch():
+    cost = entropy_cost(Belief.uniform(3))
+    target = PosteriorDistribution([[0.5, 0.25, 0.25], [0.25, 0.25, 0.5]], [0.5, 0.5])
+    with pytest.raises(DimensionMismatchError, match="state spaces"):
+        check_implementable(Experiment([[0.7, 0.3], [0.3, 0.7]]), target, cost)

@@ -555,3 +555,14 @@ except ImportError as exc:
 """
     assert _fresh_python(script).strip() == (
         f"scipy's HiGHS binding is missing from {tmp_path / 'scipy' / 'optimize' / '_highspy'}")
+
+
+def test_a_fresh_import_loads_the_highs_binding_from_its_file():
+    script = """
+import sys
+from infocontracts import numerics
+x, y = numerics.solve_lp([1.0, 2.0], [[1.0, 1.0]], [1.0])
+core = sys.modules["scipy.optimize._highspy._core"]
+print(x.tolist(), y.tolist(), core is numerics._highs, "scipy.optimize" in sys.modules)
+"""
+    assert _fresh_python(script).strip() == "[1.0, 0.0] [1.0] True False"

@@ -402,7 +402,7 @@ def test_column_generation_matches_the_full_grid_lp(case):
     assert weights.min() >= 0.0
     assert abs(weights.sum() - 1.0) <= 1e-9
     np.testing.assert_allclose(weights @ support, prior.probs, rtol=0, atol=1e-9)
-    assert np.all(np.isfinite(cost.value_many(support)))
+    assert np.all(np.isfinite(cost.value(support)))
 
 
 @pytest.mark.parametrize("payments", [np.zeros((3, 3)), np.array([[1.0] * 3, [0.5] * 3, [2.0] * 3])])
@@ -893,3 +893,13 @@ def test_an_entropy_start_that_leaves_a_state_no_report_starts_uniform():
     assert result.optimal_value == agent_best_response(e, contract, cost, cost.prior).optimal_value
     assert result.optimal_value == pytest.approx(500.0, rel=1e-12)
     assert result.gap == pytest.approx(500.0, rel=1e-12)
+
+
+def test_a_prior_or_contract_off_the_experiment_is_a_dimension_mismatch():
+    cost = entropy_cost(Belief.uniform(2))
+    contract = Contract([[2.0, 0.0], [0.0, 2.0]])
+    with pytest.raises(DimensionMismatchError, match="prior"):
+        agent_best_response(BINARY, contract, cost, Belief.uniform(3))
+    three_rows = Contract([[2.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
+    with pytest.raises(DimensionMismatchError, match="realizations"):
+        agent_best_response(BINARY, three_rows, cost, cost.prior)
