@@ -2,8 +2,8 @@
 
 Every command is a thin wrapper over the library: inputs are JSON files (or
 ``-`` for stdin), outputs are JSON (default) or plain-text tables.  Exit
-codes: 0 on success, 2 on malformed input or an ``--output`` path that
-cannot be written, 3 when a negative verdict must
+codes: 0 on success, 2 on a usage error, malformed input or an ``--output``
+path that cannot be written, 3 when a negative verdict must
 fail the pipeline (``implementable --strict``, or ``contract`` on a target
 that cannot be implemented), 4 when a solver (HiGHS, or the nonnegative
 least-squares iteration) gives no trustworthy answer.  Options come from
@@ -12,12 +12,11 @@ the command line only: no environment variable changes a command.
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import sys
 from contextlib import contextmanager
-
-import click
 
 from . import __version__
 from .contracts import (
@@ -34,12 +33,20 @@ from .implementability import check_implementable
 from .oracle import agent_best_response
 from .orders import binary_k_compare, colspace_compare, cone_compare
 
-class CliInputError(click.ClickException):
-    exit_code = 2
+
+class CliError(Exception):
+    """A clean exit: ``Error: <message>`` on stderr, after the usage line
+    for a usage error, and ``exit_code`` (2, or 4 for a solver failure)."""
+
+    def __init__(self, message: str, exit_code: int = 2, usage: str = ""):
+        super().__init__(message)
+        self.exit_code = exit_code
+        self.usage = usage
 
 
-class CliSolverError(click.ClickException):
-    exit_code = 4
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise CliError(message, usage=self.format_usage())
 
 
 @contextmanager
@@ -48,9 +55,9 @@ def _library_errors():
     try:
         yield
     except InputError as exc:
-        raise CliInputError(str(exc)) from exc
+        raise CliError(str(exc)) from exc
     except SolverFailureError as exc:
-        raise CliSolverError(f"solver failure: {exc}") from exc
+        raise CliError(f"solver failure: {exc}", exit_code=4) from exc
 
 
 def _load(path: str, what: str, build):
@@ -63,11 +70,11 @@ def _load(path: str, what: str, build):
             with open(path) as handle:
                 data = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
-        raise CliInputError(f"cannot read {what} from {path}: {exc}") from exc
+        raise CliError(f"cannot read {what} from {path}: {exc}") from exc
     try:
         return build(data)
     except (ValueError, KeyError, TypeError) as exc:
-        raise CliInputError(f"bad {what} in {path}: {exc}") from exc
+        raise CliError(f"bad {what} in {path}: {exc}") from exc
 
 
 def _load_target(path: str, prior: Belief) -> PosteriorDistribution:
@@ -105,9 +112,9 @@ def _emit(payload: dict, output: str | None, as_table, table: bool) -> None:
             with open(output, "w") as handle:
                 handle.write(text + "\n")
         except OSError as exc:
-            raise CliInputError(f"cannot write the report to {output}: {exc}") from exc
+            raise CliError(f"cannot write the report to {output}: {exc}") from exc
     else:
-        click.echo(text)
+        print(text)
 
 
 def _fmt(x, digits: int = 4) -> str:
@@ -118,35 +125,11 @@ def _fmt(x, digits: int = 4) -> str:
     return str(x)
 
 
-_format_option = click.option(
-    "--format", "fmt", type=click.Choice(["json", "table"]), default="json",
-    show_default=True, help="Report format.",
-)
-_output_option = click.option("--output", type=click.Path(writable=True, dir_okay=False),
-                              default=None, help="Write the report to a file instead of stdout.")
-
-
-@click.group()
-@click.version_option(version=__version__, prog_name="infocontracts")
-def main():
-    """Decide which learning targets a noisy contractible experiment can
-    incentivize, synthesize cost-minimizing contracts, and compare
-    experiments under the information orders."""
-
-
-@main.command("implementable")
-@click.option("--experiment", "experiment_path", required=True, help="Contractible experiment JSON.")
-@click.option("--target", "target_path", required=True,
-              help="Target JSON: {posteriors, weights} or an experiment to convert at the prior.")
-@click.option("--cost", "cost_path", required=True, help="Cost JSON: {kind, prior, ...}.")
-@click.option("--strict", is_flag=True, help="Exit 3 when the verdict is negative.")
-@_format_option
-@_output_option
-def cmd_implementable(experiment_path, target_path, cost_path, strict, fmt, output):
+def cmd_implementable(args) -> int:
     """Decide whether the target can be incentivized, with certificates."""
-    e_p = _load(experiment_path, "experiment", Experiment.from_dict)
-    cost = _load(cost_path, "cost", cost_from_dict)
-    target = _load_target(target_path, cost.prior)
+    e_p = _load(args.experiment, "experiment", Experiment.from_dict)
+    cost = _load(args.cost, "cost", cost_from_dict)
+    target = _load_target(args.target, cost.prior)
     with _library_errors():
         report = check_implementable(e_p, target, cost)
 
@@ -158,30 +141,20 @@ def cmd_implementable(experiment_path, target_path, cost_path, strict, fmt, outp
             lines.append(f"reason: {payload['reason']}")
         return "\n".join(lines)
 
-    _emit(report.to_dict(), output, as_table, fmt == "table")
-    if strict and not report.implementable:
-        sys.exit(3)
+    _emit(report.to_dict(), args.output, as_table, args.format == "table")
+    return 3 if args.strict and not report.implementable else 0
 
 
-@main.command("contract")
-@click.option("--experiment", "experiment_path", required=True)
-@click.option("--target", "target_path", required=True)
-@click.option("--cost", "cost_path", required=True)
-@click.option("--no-ll", "no_ll", is_flag=True,
-              help="Drop limited liability: return the zero-rent benchmark contract.")
-@click.option("--verify", is_flag=True, help="Run the independent agent solver and embed the gap.")
-@_format_option
-@_output_option
-def cmd_contract(experiment_path, target_path, cost_path, no_ll, verify, fmt, output):
+def cmd_contract(args) -> int:
     """Synthesize the cost-minimizing (or zero-rent benchmark) contract."""
-    e_p = _load(experiment_path, "experiment", Experiment.from_dict)
-    cost = _load(cost_path, "cost", cost_from_dict)
-    target = _load_target(target_path, cost.prior)
+    e_p = _load(args.experiment, "experiment", Experiment.from_dict)
+    cost = _load(args.cost, "cost", cost_from_dict)
+    target = _load_target(args.target, cost.prior)
     contract = None
     failed = False
     with _library_errors():
         try:
-            if no_ll:
+            if args.no_ll:
                 family = synthesize_family(e_p, target, cost)
                 contract = family.zero_rent_member(target, cost.prior)
                 payload = {
@@ -199,7 +172,7 @@ def cmd_contract(experiment_path, target_path, cost_path, no_ll, verify, fmt, ou
             payload = {"kappa": math.inf, "reason": str(exc)}
             failed = True
 
-        if verify and contract is not None:
+        if args.verify and contract is not None:
             result = agent_best_response(e_p, contract, cost, cost.prior, target=target)
             payload["oracle_gap"] = result.gap
             payload["oracle_optimal_value"] = result.optimal_value
@@ -217,9 +190,8 @@ def cmd_contract(experiment_path, target_path, cost_path, no_ll, verify, fmt, ou
                 lines.append("  " + "  ".join(_fmt(v) for v in row))
         return "\n".join(lines)
 
-    _emit(payload, output, as_table, fmt == "table")
-    if failed:
-        sys.exit(3)
+    _emit(payload, args.output, as_table, args.format == "table")
+    return 3 if failed else 0
 
 
 _ORDERS = {
@@ -230,45 +202,31 @@ _ORDERS = {
 }
 
 
-@main.command("compare")
-@click.option("--order", type=click.Choice(sorted(_ORDERS)), required=True)
-@click.option("--first", "first_path", required=True)
-@click.option("--second", "second_path", required=True)
-@_format_option
-@_output_option
-def cmd_compare(order, first_path, second_path, fmt, output):
+def cmd_compare(args) -> int:
     """Compare two experiments under an information order.
 
     The verdict is data, not failure: exit code 0 for any valid input.
     """
-    first = _load(first_path, "experiment", Experiment.from_dict)
-    second = _load(second_path, "experiment", Experiment.from_dict)
+    first = _load(args.first, "experiment", Experiment.from_dict)
+    second = _load(args.second, "experiment", Experiment.from_dict)
     with _library_errors():
-        verdict = _ORDERS[order](first, second)
+        verdict = _ORDERS[args.order](first, second)
 
     def as_table(payload):
         return f"order: {payload['order']}\nrelation: {payload['relation']}" + (
             "\nstrict" if payload["strict"] else ""
         )
 
-    _emit(verdict.to_dict(), output, as_table, fmt == "table")
+    _emit(verdict.to_dict(), args.output, as_table, args.format == "table")
+    return 0
 
 
-@main.command("oracle")
-@click.option("--experiment", "experiment_path", required=True)
-@click.option("--cost", "cost_path", required=True)
-@click.option("--contract", "contract_path", required=True,
-              help="A contract {payments, ...}, or the report that contract --output writes.")
-@click.option("--target", "target_path", default=None,
-              help="Optional target whose optimality gap should be measured.")
-@_format_option
-@_output_option
-def cmd_oracle(experiment_path, cost_path, contract_path, target_path, fmt, output):
+def cmd_oracle(args) -> int:
     """Solve the agent's learning problem under a given contract."""
-    e_p = _load(experiment_path, "experiment", Experiment.from_dict)
-    cost = _load(cost_path, "cost", cost_from_dict)
-    contract = _load(contract_path, "contract", _contract_from_json)
-    target = None if target_path is None else _load_target(target_path, cost.prior)
+    e_p = _load(args.experiment, "experiment", Experiment.from_dict)
+    cost = _load(args.cost, "cost", cost_from_dict)
+    contract = _load(args.contract, "contract", _contract_from_json)
+    target = None if args.target is None else _load_target(args.target, cost.prior)
     with _library_errors():
         result = agent_best_response(e_p, contract, cost, cost.prior, target=target)
 
@@ -282,7 +240,8 @@ def cmd_oracle(experiment_path, cost_path, contract_path, target_path, fmt, outp
             lines.append("  " + _fmt(w) + " @ (" + ", ".join(_fmt(p) for p in probs) + ")")
         return "\n".join(lines)
 
-    _emit(result.to_dict(), output, as_table, fmt == "table")
+    _emit(result.to_dict(), args.output, as_table, args.format == "table")
+    return 0
 
 
 # Worked instances behind the named demos: the pair of Blackwell-incomparable
@@ -350,16 +309,86 @@ _DEMOS = {
 }
 
 
-@main.command("demo")
-@click.argument("name", type=click.Choice(sorted(_DEMOS)))
-@click.option("--json", "as_json", is_flag=True, help="Machine-readable output.")
-@_output_option
-def cmd_demo(name, as_json, output):
+def cmd_demo(args) -> int:
     """Reproduce a named worked example end to end."""
-    build, as_table = _DEMOS[name]
-    payload = build()
-    _emit(payload, output, as_table, not as_json)
+    build, as_table = _DEMOS[args.name]
+    _emit(build(), args.output, as_table, not args.as_json)
+    return 0
+
+
+def _parser() -> _Parser:
+    parser = _Parser(prog="infocontracts", allow_abbrev=False, description=(
+        "Decide which learning targets a noisy contractible experiment can incentivize, "
+        "synthesize cost-minimizing contracts, and compare experiments under the information "
+        "orders."))
+    parser.add_argument("--version", action="version",
+                        version=f"infocontracts, version {__version__}")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(run, *required, report=True):
+        sub = commands.add_parser(run.__name__[4:], help=run.__doc__.splitlines()[0],
+                                  description=run.__doc__, allow_abbrev=False)
+        for flag, help in required:
+            sub.add_argument(flag, required=True, help=help)
+        if report:
+            sub.add_argument("--format", choices=["json", "table"], default="json",
+                             help="Report format (default: json).")
+        sub.add_argument("--output", help="Write the report to a file instead of stdout.")
+        sub.set_defaults(run=run)
+        return sub
+
+    inputs = (("--experiment", "Contractible experiment JSON."),
+              ("--cost", "Cost JSON: {kind, prior, ...}."),
+              ("--target", "Target JSON: {posteriors, weights} or an experiment to convert at "
+                           "the prior."))
+    sub = command(cmd_implementable, *inputs)
+    sub.add_argument("--strict", action="store_true", help="Exit 3 when the verdict is negative.")
+    sub = command(cmd_contract, *inputs)
+    sub.add_argument("--no-ll", action="store_true",
+                     help="Drop limited liability: return the zero-rent benchmark contract.")
+    sub.add_argument("--verify", action="store_true",
+                     help="Run the independent agent solver and embed the gap.")
+    sub = command(cmd_compare, ("--first", None), ("--second", None))
+    sub.add_argument("--order", choices=sorted(_ORDERS), required=True)
+    sub = command(cmd_oracle, *inputs[:2], (
+        "--contract", "A contract {payments, ...}, or the report that contract --output writes."))
+    sub.add_argument("--target", help="Optional target whose optimality gap should be measured.")
+    sub = command(cmd_demo, report=False)
+    sub.add_argument("name", choices=sorted(_DEMOS))
+    sub.add_argument("--json", dest="as_json", action="store_true", help="Machine-readable output.")
+    return parser
+
+
+_PARSER = _parser()
+
+
+def _run(argv) -> int:
+    args = _PARSER.parse_args(argv)
+    return args.run(args)
+
+
+def main(argv=None) -> int:
+    """Run one command line (``sys.argv[1:]`` by default) and return its
+    exit code; errors print ``Error: ...`` on stderr."""
+    try:
+        return _run(argv)
+    except CliError as exc:
+        sys.stderr.write(f"{exc.usage}Error: {exc}\n")
+        return exc.exit_code
+    except SystemExit as exc:               # --help and --version print, then exit 0
+        return exc.code
+
+
+def _main(args=None, prog_name=None, standalone_mode=True):
+    """``main.main(args=..., prog_name=..., standalone_mode=False)``, the in-process
+    call form, raises ``CliError`` and returns the exit code instead of exiting."""
+    if standalone_mode:
+        sys.exit(main(args))
+    return _run(args)
+
+
+main.main = _main
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -30,7 +30,7 @@ from .experiments import (
     Belief,
     Experiment,
     PosteriorDistribution,
-    experiment_from_posteriors,
+    kernel_from_posteriors,
 )
 from .implementability import (ImplementabilityReport, check_implementable, difference_kron,
                               difference_operator)
@@ -336,8 +336,7 @@ def expected_payment(e_p: Experiment, target: PosteriorDistribution,
     utilities = e_p.kernel @ t.payments                   # N x K state-report payments
     posterior_matrix = target.posterior_matrix()
     interim = float(target.weights @ np.einsum("nk,nk->k", posterior_matrix, utilities))
-    agent_kernel = experiment_from_posteriors(target, prior).kernel
-    joint = float(np.sum(prior.probs[:, None] * agent_kernel * utilities))
+    joint = float(np.sum(prior.probs[:, None] * kernel_from_posteriors(target, prior) * utilities))
     scale = max(1.0, abs(interim))
     if abs(interim - joint) > PAYMENT_AGREEMENT_TOL * scale:
         raise InputError(

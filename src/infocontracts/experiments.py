@@ -220,12 +220,9 @@ def is_bayes_plausible(d: PosteriorDistribution, prior: Belief) -> bool:
     return bool(np.max(np.abs(d.mean() - prior.probs)) <= BAYES_TOL)
 
 
-def experiment_from_posteriors(d: PosteriorDistribution, prior: Belief,
-                               realizations=None) -> Experiment:
-    """Fold a Bayes-plausible posterior distribution back into a kernel.
-
-    Round-trips with :func:`posteriors` up to realization relabeling.
-    """
+def kernel_from_posteriors(d: PosteriorDistribution, prior: Belief) -> np.ndarray:
+    """The N x K kernel that induces ``d`` at ``prior``, as a plain array:
+    row n holds ``d``'s posteriors at n, weighted and divided by the prior."""
     if not prior.is_interior():
         raise InputError("prior must be interior")
     if not is_bayes_plausible(d, prior):
@@ -233,6 +230,16 @@ def experiment_from_posteriors(d: PosteriorDistribution, prior: Belief,
     kernel = (d.posterior_matrix() * d.weights[None, :]) / prior.probs[:, None]
     # Rows sum to one exactly by Bayes plausibility; renormalize the dust.
     kernel /= kernel.sum(axis=1, keepdims=True)
+    return kernel
+
+
+def experiment_from_posteriors(d: PosteriorDistribution, prior: Belief,
+                               realizations=None) -> Experiment:
+    """Fold a Bayes-plausible posterior distribution back into a kernel.
+
+    Round-trips with :func:`posteriors` up to realization relabeling.
+    """
+    kernel = kernel_from_posteriors(d, prior)
     if realizations is None:
         realizations = _default_labels("x", d.size)
     return Experiment(kernel, realizations=realizations)

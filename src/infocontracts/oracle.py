@@ -299,12 +299,11 @@ def _newton_step(q, lik, mu0, z, d, f, value, scale) -> np.ndarray:
 def _merge_coincident(points: np.ndarray, weights: np.ndarray):
     """Pool rows of ``points`` that agree to ``SUPPORT_TOL`` into their
     weighted mean, which keeps the distribution's mean."""
-    label = np.arange(len(points))
-    for i in range(len(points)):
-        for j in range(i):
-            if label[j] == j and np.abs(points[i] - points[j]).max() <= SUPPORT_TOL:
-                label[i] = j
-                break
+    close = (np.abs(points[:, None, :] - points[None, :, :]).max(axis=2) <= SUPPORT_TOL).tolist()
+    # Each row joins the first earlier row that is not itself pooled.
+    label = list(range(len(points)))
+    for i, near in enumerate(close):
+        label[i] = next((j for j in range(i) if label[j] == j and near[j]), i)
     _, group = np.unique(label, return_inverse=True)
     mass = np.bincount(group, weights)
     pooled = np.zeros((mass.size, points.shape[1]))

@@ -24,6 +24,7 @@ from infocontracts import (
     SolverFailureError,
     DimensionMismatchError,
     Experiment,
+    InputError,
     NotImplementableError,
     PosteriorDistribution,
     agent_best_response,
@@ -97,7 +98,6 @@ def test_family_foc_across_ranks_500_samples():
 def test_family_rejects_bad_side_bets(binary_instance):
     prior, cost, target = binary_instance
     family = synthesize_family(BINARY, target, cost)
-    from infocontracts import InputError
     with pytest.raises(InputError):
         family.member(w=np.ones((2, 2)))
 
@@ -262,6 +262,30 @@ def test_expected_payment_shape_check(binary_instance):
     prior, cost, target = binary_instance
     with pytest.raises(DimensionMismatchError):
         expected_payment(BINARY, target, prior, Contract(np.zeros((3, 2))))
+
+
+def test_expected_payment_refuses_an_implausible_target_and_a_boundary_prior(binary_instance):
+    prior, cost, target = binary_instance
+    with pytest.raises(InputError, match="not Bayes-plausible"):
+        expected_payment(BINARY, target, Belief([0.6, 0.4]), Contract(np.eye(2)))
+    certain = PosteriorDistribution([[1.0, 0.0]], [1.0])
+    with pytest.raises(InputError, match="prior must be interior"):
+        expected_payment(BINARY, certain, Belief([1.0, 0.0]), Contract(np.ones((2, 1))))
+
+
+def test_expected_payment_is_the_direct_sum_over_states_and_reports():
+    # The agent's kernel is A itself: its posteriors at the prior are
+    # computed here by Bayes' rule, and the sum runs entry by entry.
+    prior = np.array([0.5, 0.3, 0.2])
+    agent = np.array([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.2, 0.7]])
+    weights = prior @ agent
+    target = PosteriorDistribution((prior[:, None] * agent / weights).T, weights)
+    e_p = Experiment([[0.7, 0.2, 0.1], [0.2, 0.6, 0.2], [0.1, 0.3, 0.6]])
+    payments = np.random.default_rng(3).uniform(0.0, 2.0, size=(3, 3))
+    utilities = e_p.kernel @ payments
+    direct = sum(prior[n] * agent[n, k] * utilities[n, k] for n in range(3) for k in range(3))
+    value = expected_payment(e_p, target, Belief(prior), Contract(payments))
+    assert value == pytest.approx(direct, rel=1e-13)
 
 
 def test_rent_profile_symmetric_kernel():

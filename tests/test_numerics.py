@@ -463,8 +463,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # Runs here and in a fresh interpreter: one payment LP on a kernel with a null
 # space, a quadratic-cost oracle call and an LP-bearing `contract --verify`.
 COLD_PATHS = """
+import contextlib
+import io
 import json
-from click.testing import CliRunner
 import infocontracts.cli
 from infocontracts import (Belief, Experiment, PosteriorDistribution, agent_best_response,
                            optimal_contract, quadratic_cost)
@@ -485,14 +486,16 @@ def cold_paths(workdir):
         with open(path, "w") as handle:
             json.dump(payload, handle)
         args += [f"--{option}", path]
-    verified = CliRunner().invoke(infocontracts.cli.main, args)
+    output = io.StringIO()
+    with contextlib.redirect_stdout(output), contextlib.redirect_stderr(output):
+        exit_code = infocontracts.cli.main(args)
     return {
         "kappa": report.kappa.hex(),
         "payments": [x.hex() for x in report.contract.payments.ravel().tolist()],
         "optimal_value": result.optimal_value.hex(),
         "support": [x.hex() for b in result.support_beliefs for x in b.probs.tolist()]
         + [x.hex() for x in result.support_weights.tolist()],
-        "verify": [verified.exit_code, verified.output],
+        "verify": [exit_code, output.getvalue()],
     }
 """
 
@@ -508,11 +511,13 @@ def _fresh_python(script: str, *args: str) -> str:
 def test_cold_paths_never_import_scipy_optimize(tmp_path):
     # numerics loads scipy's HiGHS binding from its file, so neither the
     # import nor an LP runs scipy.optimize's __init__; the answers are the
-    # same bits as in this process, where scipy.optimize is loaded.
+    # same bits as in this process, where scipy.optimize is loaded.  The
+    # CLI parses its arguments with the standard library alone.
     script = COLD_PATHS + (
-        "import sys\nprint(json.dumps([cold_paths(sys.argv[1]), 'scipy.optimize' in sys.modules]))")
+        "import sys\nprint(json.dumps([cold_paths(sys.argv[1]), "
+        "[name in sys.modules for name in ('scipy.optimize', 'click')]]))")
     fresh, loaded = json.loads(_fresh_python(script, str(tmp_path)))
-    assert loaded is False
+    assert loaded == [False, False]
     namespace = {}
     exec(COLD_PATHS, namespace)
     assert fresh == namespace["cold_paths"](tmp_path)
