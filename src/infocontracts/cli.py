@@ -379,15 +379,9 @@ def main(argv=None) -> int:
         return exc.code
 
 
-def _main(args=None, prog_name=None, standalone_mode=True):
-    """``main.main(args=..., prog_name=..., standalone_mode=False)``, the in-process
-    call form, raises ``CliError`` and returns the exit code instead of exiting."""
-    if standalone_mode:
-        sys.exit(main(args))
-    return _run(args)
-
-
-main.main = _main
+# The in-process call form the benchmark uses, ``main.main(args=...,
+# prog_name=..., standalone_mode=False)``: it raises ``CliError`` instead of printing it.
+main.main = lambda args=None, prog_name=None, standalone_mode=False: _run(args)
 
 
 if __name__ == "__main__":

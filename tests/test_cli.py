@@ -645,6 +645,22 @@ def test_a_missing_required_option_exits_2(invoke, tmp_path):
         assert "Error: the following arguments are required: " + missing in result.output
 
 
+def test_which_usage_line_a_usage_error_prints(invoke, tmp_path):
+    binary = write(tmp_path, "e.json", BINARY)
+    base = ["contract", "--experiment", binary, "--target", binary, "--cost", binary]
+    # An unknown option is left over by the command's parser and refused by the
+    # program's, so the program's usage line comes first.
+    result = invoke(base + ["--grid", "5"])
+    assert result.exit_code == 2
+    assert result.output.startswith("usage: infocontracts [-h] [--version] COMMAND ...\n")
+    assert "Error: unrecognized arguments: --grid 5" in result.output
+    # A missing option or a bad value is the command's own error, after its usage line.
+    for args in (base[:-2], base + ["--format", "xml"]):
+        result = invoke(args)
+        assert result.exit_code == 2
+        assert result.output.startswith("usage: infocontracts contract [-h]"), result.output
+
+
 def test_the_in_process_call_form_prints_the_report_or_raises(invoke, tmp_path, capsys):
     args = [
         "contract", "--verify",
