@@ -117,11 +117,11 @@ def _emit(payload: dict, output: str | None, as_table, table: bool) -> None:
         print(text)
 
 
-def _fmt(x, digits: int = 4) -> str:
+def _fmt(x) -> str:
     if x is None:
         return "-"
     if isinstance(x, float):
-        return "inf" if math.isinf(x) else f"{x:.{digits}g}"
+        return "inf" if math.isinf(x) else f"{x:.4g}"
     return str(x)
 
 

@@ -83,14 +83,6 @@ class Contract:
                            None if realizations is None else tuple(realizations))
         object.__setattr__(self, "reports", None if reports is None else tuple(reports))
 
-    @property
-    def n_realizations(self) -> int:
-        return self.payments.shape[0]
-
-    @property
-    def n_reports(self) -> int:
-        return self.payments.shape[1]
-
     def to_dict(self) -> dict:
         m, k = self.payments.shape
         return {
@@ -124,8 +116,9 @@ class ContractFamily:
     null_basis: np.ndarray     # M x d orthonormal basis of ker(kernel)
     report: ImplementabilityReport
 
-    def member(self, z=None, w=None, limited_liability=False) -> Contract:
-        """Family member for a bonus vector ``z`` and side-bet matrix ``w``.
+    def member(self, z=None, w=None) -> Contract:
+        """Family member for a bonus vector ``z`` and side-bet matrix ``w``,
+        without limited liability.
 
         ``w`` may be given directly (validated against ``kernel @ w = 0``)
         or as a coefficient matrix of shape (d, K) over ``null_basis``.
@@ -146,7 +139,7 @@ class ContractFamily:
             if np.max(np.abs(self.experiment.kernel @ w), initial=0.0) > SIDE_BET_TOL:
                 raise InputError("side bets must have zero expected value in every state")
             payments += w
-        return Contract(payments, limited_liability=limited_liability,
+        return Contract(payments, limited_liability=False,
                         realizations=self.experiment.realizations)
 
     def sample_member(self, rng, scale: float = 1.0) -> Contract:

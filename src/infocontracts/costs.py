@@ -90,8 +90,8 @@ def entropy_cost(prior, log_base: float = math.e) -> PosteriorCost:
     ``log(mu_n) + H(prior)``, with ``-inf`` entries at boundary beliefs.
     """
     prior = _require_interior_prior(prior)
-    if log_base <= 1.0:
-        raise InputError("log_base must exceed 1")
+    if not (math.isfinite(log_base) and log_base > 1.0):
+        raise InputError(f"log_base must be finite and exceed 1, not {log_base}")
     scale = 1.0 / math.log(log_base)
     h0 = -float(np.sum(prior.probs * np.log(prior.probs)))
 
@@ -117,8 +117,8 @@ def quadratic_cost(prior, scale: float = 1.0) -> PosteriorCost:
     boundary posteriors; used to exercise the corner-solution machinery.
     """
     prior = _require_interior_prior(prior)
-    if scale <= 0.0:
-        raise InputError("scale must be positive")
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise InputError(f"scale must be finite and positive, not {scale}")
     anchor = prior.probs
 
     def value(p: np.ndarray) -> np.ndarray:
@@ -136,6 +136,8 @@ def quadratic_cost(prior, scale: float = 1.0) -> PosteriorCost:
 
 def cost_from_dict(data: dict) -> PosteriorCost:
     """Build a cost from its JSON form {"kind", "prior", "scale"?, "log_base"?}."""
+    if not isinstance(data, dict):
+        raise InputError(f"cost JSON must be an object, not {type(data).__name__}")
     kind = data.get("kind")
     if "prior" not in data:
         raise InputError("cost JSON needs a 'prior'")

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, InputError
-from .numerics import matrix_rank, nonnegative_solve
-from .orders import OrderVerdict, assemble_verdict
+from .numerics import matrix_rank
+from .orders import OrderVerdict, fit_verdict
 
 # Simplex membership slack for beliefs and kernel rows.
 SIMPLEX_TOL = 1e-12
@@ -159,8 +159,9 @@ class PosteriorDistribution:
             raise DimensionMismatchError("need one weight per belief")
         if len({row.size for row in rows}) > 1:
             raise DimensionMismatchError("beliefs live on different state spaces")
-        if np.any(weights < -SIMPLEX_TOL) or abs(weights.sum() - 1.0) > WEIGHT_SUM_TOL:
-            raise InputError("weights must be a probability vector")
+        if (not np.isfinite(weights).all() or np.any(weights < -SIMPLEX_TOL)
+                or abs(weights.sum() - 1.0) > WEIGHT_SUM_TOL):
+            raise InputError("weights must be a finite probability vector")
         object.__setattr__(self, "matrix", _frozen(_on_simplex(np.array(rows)).T))
         object.__setattr__(self, "weights", _frozen(np.clip(weights, 0.0, None)))
         object.__setattr__(self, "dropped", tuple(dropped))
@@ -233,16 +234,14 @@ def kernel_from_posteriors(d: PosteriorDistribution, prior: Belief) -> np.ndarra
     return kernel
 
 
-def experiment_from_posteriors(d: PosteriorDistribution, prior: Belief,
-                               realizations=None) -> Experiment:
-    """Fold a Bayes-plausible posterior distribution back into a kernel.
+def experiment_from_posteriors(d: PosteriorDistribution, prior: Belief) -> Experiment:
+    """Fold a Bayes-plausible posterior distribution back into a kernel,
+    with realizations labelled ``x1, x2, ...``.
 
     Round-trips with :func:`posteriors` up to realization relabeling.
     """
     kernel = kernel_from_posteriors(d, prior)
-    if realizations is None:
-        realizations = _default_labels("x", d.size)
-    return Experiment(kernel, realizations=realizations)
+    return Experiment(kernel, realizations=_default_labels("x", d.size))
 
 
 def has_full_row_rank(e: Experiment) -> bool:
@@ -270,14 +269,6 @@ def has_uniform_random_noise(e: Experiment) -> bool:
 def blackwell_compare(e: Experiment, f: Experiment) -> OrderVerdict:
     """Blackwell order via garbling feasibility: one nonnegative
     least-squares fit for a row-stochastic ``G >= 0`` with
-    ``e.kernel @ G = f.kernel`` in each direction.
-    Dominance certificates carry the garbling matrix."""
-    if e.n_states != f.n_states:
-        raise DimensionMismatchError("experiments live on different state spaces")
-    g_fwd = nonnegative_solve(e.kernel, f.kernel, stochastic=True)
-    g_bwd = nonnegative_solve(f.kernel, e.kernel, stochastic=True)
-    return assemble_verdict(
-        "blackwell", g_fwd is not None, g_bwd is not None,
-        {"garbling": g_fwd} if g_fwd is not None else None,
-        {"garbling_reverse": g_bwd} if g_bwd is not None else None,
-    )
+    ``e.kernel @ G = f.kernel`` in each direction.  The certificate holds
+    the garbling of each direction found, ``garbling`` and ``garbling_reverse``."""
+    return fit_verdict("blackwell", "garbling", e.kernel, f.kernel, stochastic=True)

@@ -57,7 +57,7 @@ the plane joins the columns with the polished supports, for at most
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -126,7 +126,8 @@ class OracleResult:
     ``optimal_value`` bounds the agent's optimum from above.
     ``n_grid_points`` is always 0; it stays for the benchmark tracer.
     ``gap`` is taken in the level-free frame (module docstring), the values
-    at the payments' level.
+    at the payments' level.  Only :func:`agent_best_response` builds one,
+    from the certified support either route returns.
     """
 
     optimal_value: float
@@ -174,32 +175,20 @@ def _restricted_lp(points: np.ndarray, values: np.ndarray, prior: np.ndarray):
     return weights, -duals
 
 
-def _route(cost: PosteriorCost) -> tuple[str, float]:
-    """The route for a cost and its scale, read from the labels that
-    ``entropy_cost`` and ``quadratic_cost`` attach: ``("entropy",
-    1 / ln(log_base))`` or ``("quadratic", scale)``, and ``InputError`` for
-    any other cost.  The labels are trusted: the entropy route prices only
-    the prior, and the quadratic route prices by the labelled formula."""
-    if cost.kind == "entropy" and "log_base" in cost.params:
-        return "entropy", 1.0 / math.log(cost.params["log_base"])
-    if cost.kind == "quadratic" and "scale" in cost.params:
-        return "quadratic", float(cost.params["scale"])
-    raise InputError(f"the agent-side solver takes 'entropy' or 'quadratic' costs only, "
-                     f"not {cost.kind!r}")
+class _Support(NamedTuple):
+    """What either route certifies in the level-free frame: posteriors (rows),
+    their positive weights, the bracket ``(lower, upper)`` and the LP counts."""
 
-
-class _Channel(NamedTuple):
-    """Outcome of the entropy route: the channel's posteriors (rows) and
-    weights, ``f(q)`` and its certified upper bound."""
-
-    posteriors: np.ndarray
+    points: np.ndarray
     weights: np.ndarray
-    value: float
+    lower: float
     upper: float
+    lp_columns: int = 0
+    pricing_rounds: int = 0
 
 
 def _rational_inattention(utilities: np.ndarray, prior: np.ndarray, scale: float,
-                         start: np.ndarray | None) -> _Channel:
+                         start: np.ndarray | None) -> _Support:
     """Maximize ``f(q) = scale * sum_n prior_n log (exp(utilities / scale) @ q)_n``
     over the simplex until the Jensen bound certifies ``f`` to
     ``CERTIFICATE_TOL``, from the report probabilities ``start`` or, without
@@ -230,7 +219,7 @@ def _rational_inattention(utilities: np.ndarray, prior: np.ndarray, scale: float
             on = q > 0.0
             posteriors = np.zeros((int(on.sum()), prior.size))
             posteriors[:, charged] = (lik[:, on] * (mu0 / z)[:, None]).T / d[on, None]
-            return _Channel(posteriors, q[on] * d[on], f, f + bound)
+            return _Support(posteriors, q[on] * d[on], f, f + bound)
         if q[worst] == 0.0:
             q = _readmit(q, worst, value, f)
             continue
@@ -309,20 +298,6 @@ def _merge_coincident(points: np.ndarray, weights: np.ndarray):
     pooled = np.zeros((mass.size, points.shape[1]))
     np.add.at(pooled, group, weights[:, None] * points)
     return pooled / mass[:, None], mass
-
-
-def _entropy_response(utilities: np.ndarray, cost: PosteriorCost, prior: np.ndarray,
-                      scale: float, start: np.ndarray | None) -> OracleResult:
-    channel = _rational_inattention(utilities, prior, scale, start)
-    # f prices information from the agent's prior; the cost's prices are
-    # zero at its own prior, so the two differ by the price of the former.
-    offset = cost.value_at(prior)
-    points, weights = _merge_coincident(channel.posteriors, channel.weights)
-    return OracleResult(
-        optimal_value=channel.upper - offset, support_beliefs=tuple(Belief(p) for p in points),
-        support_weights=weights, target_value=None, gap=None, route="entropy",
-        bracket=(channel.value - offset, channel.upper - offset),
-    )
 
 
 def _project_rows(x: np.ndarray) -> np.ndarray:
@@ -445,7 +420,7 @@ def _fitted_multiplier(utilities: np.ndarray, anchor: np.ndarray, scale: float,
 
 
 def _quadratic_response(utilities: np.ndarray, cost: PosteriorCost, prior: np.ndarray,
-                        scale: float, target: PosteriorDistribution | None) -> OracleResult:
+                        scale: float, target: PosteriorDistribution | None) -> _Support:
     """The quadratic route (module docstring).  A target, which holds one
     posterior per report, is tried first: every report active at the
     target's weights, from the multiplier fitted to its posteriors.  The
@@ -456,14 +431,15 @@ def _quadratic_response(utilities: np.ndarray, cost: PosteriorCost, prior: np.nd
     dual plane; failing both, the posteriors priced at the plane that lie
     above it and both polished supports join the columns.  The support must
     average to the prior within ``CERTIFICATE_TOL * max(1, max|u| /
-    scale)``, the rounding of the priced posteriors."""
+    scale)``, the rounding of the priced posteriors.  Returns the certified
+    support, which :func:`agent_best_response` turns into the result."""
     anchor, n = cost.prior.probs, prior.size
     mean_tol = CERTIFICATE_TOL * max(1.0, float(np.abs(utilities).max()) / scale)
 
     def certified(lam: np.ndarray, active: np.ndarray, weights: np.ndarray,
-                  lp_columns: int, rounds: int) -> tuple[OracleResult | None, np.ndarray]:
-        """Polish ``lam`` with ``active`` played at ``weights``; the result
-        if the certificate passes, else None, and the polished support."""
+                  lp_columns: int, rounds: int) -> tuple[_Support | None, np.ndarray]:
+        """Polish ``lam`` with ``active`` played at ``weights``; the support
+        if the certificate passes, else None, and the polished posteriors."""
         level_at = float(_priced(utilities[:, active], anchor, scale, lam)[1].mean())
         point = _with_active_set(utilities, anchor, scale, prior,
                                  _Kkt(lam, level_at, active, weights))
@@ -475,21 +451,17 @@ def _quadratic_response(utilities: np.ndarray, cost: PosteriorCost, prior: np.nd
         if (np.abs(mass @ support - prior).max() > mean_tol
                 or upper - lower > CERTIFICATE_TOL * max(1.0, abs(lower))):
             return None, support
-        points, mass = _merge_coincident(support[mass > 0.0], mass[mass > 0.0])
-        return OracleResult(
-            optimal_value=upper, support_beliefs=tuple(Belief(p) for p in points),
-            support_weights=mass, target_value=None, gap=None, route="quadratic",
-            lp_columns=lp_columns, pricing_rounds=rounds, bracket=(lower, upper),
-        ), support
+        played = mass > 0.0
+        return _Support(support[played], mass[played], lower, upper, lp_columns, rounds), support
 
     seeds = []
     if target is not None:
         posts = target.posterior_matrix().T
         every = np.arange(posts.shape[0])
-        result, _ = certified(_fitted_multiplier(utilities, anchor, scale, posts, every),
-                              every, target.weights, 0, 0)
-        if result is not None:
-            return result
+        found, _ = certified(_fitted_multiplier(utilities, anchor, scale, posts, every),
+                             every, target.weights, 0, 0)
+        if found is not None:
+            return found
         seeds.append(posts)
     columns = np.vstack([prior[None, :], np.eye(n),
                          _priced(utilities, anchor, scale, np.zeros(n))[0], *seeds])
@@ -506,9 +478,9 @@ def _quadratic_response(utilities: np.ndarray, cost: PosteriorCost, prior: np.nd
         posts /= weights[:, None]
         tried = []
         for lam in (_fitted_multiplier(utilities, anchor, scale, posts, active), slope):
-            result, support = certified(lam, active, weights, columns.shape[0], rounds)
-            if result is not None:
-                return result
+            found, support = certified(lam, active, weights, columns.shape[0], rounds)
+            if found is not None:
+                return found
             tried.append(support)
         priced, gain = _priced(utilities, anchor, scale, slope)
         above = gain > level + PRICING_TOL * max(1.0, float(np.abs(values).max()))
@@ -553,19 +525,34 @@ def agent_best_response(e_p: Experiment, t: Contract, cost: PosteriorCost,
     level = utilities.max(axis=1)
     utilities -= level[:, None]
     offset = float(prior.probs @ (e_p.kernel @ bonus + level))
-    route, scale = _route(cost)
-    if route == "entropy":
-        result = _entropy_response(utilities, cost, prior.probs, scale,
-                                   None if target is None else target.weights)
+    if cost.kind == "entropy" and "log_base" in cost.params:
+        route, scale = "entropy", 1.0 / math.log(cost.params["log_base"])
+        found = _rational_inattention(utilities, prior.probs, scale,
+                                      None if target is None else target.weights)
+        # f prices information from the agent's prior; the cost's prices are
+        # zero at its own prior, so the two differ by the price of the former.
+        prior_price = cost.value_at(prior.probs)
+    elif cost.kind == "quadratic" and "scale" in cost.params:
+        route, scale = "quadratic", float(cost.params["scale"])
+        found = _quadratic_response(utilities, cost, prior.probs, scale, target)
+        prior_price = 0.0
     else:
-        result = _quadratic_response(utilities, cost, prior.probs, scale, target)
+        raise InputError(f"the agent-side solver takes 'entropy' or 'quadratic' costs only, "
+                         f"not {cost.kind!r}")
+    lower, upper = found.lower - prior_price, found.upper - prior_price
+    target_value = gap = None
     if target is not None:
         posts = target.posterior_matrix().T
         value = float(target.weights @ (np.einsum("kn,nk->k", posts, utilities)
                                         - cost.value(posts)))
-        result = replace(result, target_value=value + offset, gap=result.optimal_value - value)
-    return replace(result, optimal_value=result.optimal_value + offset,
-                   bracket=tuple(end + offset for end in result.bracket))
+        target_value, gap = value + offset, upper - value
+    points, weights = _merge_coincident(found.points, found.weights)
+    return OracleResult(
+        optimal_value=upper + offset, support_beliefs=tuple(Belief(p) for p in points),
+        support_weights=weights, target_value=target_value, gap=gap, route=route,
+        bracket=(lower + offset, upper + offset), lp_columns=found.lp_columns,
+        pricing_rounds=found.pricing_rounds,
+    )
 
 
 def verify_contract(e_p: Experiment, target: PosteriorDistribution,

@@ -7,7 +7,10 @@ by one nonnegative least-squares fit per column), and the complete
 likelihood-ratio characterization of indirect-cost dominance for
 binary-state experiments with two realizations.  Blackwell comparison lives
 with the experiment type itself in :mod:`infocontracts.experiments` and uses
-one fit with row-stochastic rows added.
+one fit with row-stochastic rows added.  A Blackwell or cone verdict
+certifies each direction it found with its fit; a column-space or
+likelihood-ratio verdict carries its rank or spread transcript whatever the
+relation, so an incomparable pair shows why.
 
 A general decision procedure for indirect-cost dominance beyond the
 binary-binary case is deliberately not offered: outside that case only the
@@ -17,7 +20,7 @@ one-sided conic-span test is available (see ``k_dominance_sufficient``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -37,15 +40,16 @@ class Relation(Enum):
 class OrderVerdict:
     """Outcome of comparing two experiments under a named order.
 
-    ``certificate`` is machine-checkable evidence: a garbling matrix, the
-    per-column cone coefficients, a likelihood-ratio tuple, or a rank
-    transcript, depending on the order.
+    ``certificate`` is machine-checkable evidence, depending on the order:
+    the garbling matrix or the per-column cone coefficients of each
+    direction that holds (``name`` forward, ``name + "_reverse"`` backward),
+    or the rank or likelihood-ratio transcript of every verdict.
     """
 
     order: str
     relation: Relation
-    strict: bool = False
-    certificate: dict = field(default_factory=dict)
+    strict: bool
+    certificate: dict
 
     @property
     def dominates_weakly(self) -> bool:
@@ -64,29 +68,22 @@ class OrderVerdict:
 
 
 def assemble_verdict(order: str, forward: bool, backward: bool,
-                     forward_cert=None, backward_cert=None) -> OrderVerdict:
-    """Fold the two one-directional answers into a single verdict.
+                     certificate: dict) -> OrderVerdict:
+    """Fold the two one-directional answers and the certificate into a verdict.
 
     One-directional dominance is strict by construction (the reverse
     containment failed); mutual dominance is equivalence.
     """
-    cert = {}
-    if forward and forward_cert:
-        cert.update(forward_cert)
-    if backward and backward_cert:
-        cert.update(backward_cert)
+    forward, backward = bool(forward), bool(backward)
     if forward and backward:
-        return OrderVerdict(order, Relation.EQUIVALENT, False, cert)
-    if forward:
-        return OrderVerdict(order, Relation.DOMINATES, True, cert)
-    if backward:
-        return OrderVerdict(order, Relation.DOMINATED_BY, True, cert)
-    return OrderVerdict(order, Relation.INCOMPARABLE, False, cert)
-
-
-def _kernel(e) -> np.ndarray:
-    kernel = getattr(e, "kernel", e)
-    return np.asarray(kernel, dtype=float)
+        relation = Relation.EQUIVALENT
+    elif forward:
+        relation = Relation.DOMINATES
+    elif backward:
+        relation = Relation.DOMINATED_BY
+    else:
+        relation = Relation.INCOMPARABLE
+    return OrderVerdict(order, relation, forward != backward, certificate)
 
 
 def _check_same_states(a: np.ndarray, b: np.ndarray) -> None:
@@ -96,25 +93,34 @@ def _check_same_states(a: np.ndarray, b: np.ndarray) -> None:
         )
 
 
+def fit_verdict(order: str, name: str, a: np.ndarray, b: np.ndarray,
+                stochastic: bool) -> OrderVerdict:
+    """Decide ``a @ G = b`` and ``b @ G = a`` by one nonnegative fit each
+    way; each fit found is certified, under ``name`` or ``name + "_reverse"``."""
+    _check_same_states(a, b)
+    forward = nonnegative_solve(a, b, stochastic)
+    backward = nonnegative_solve(b, a, stochastic)
+    certificate = {}
+    if forward is not None:
+        certificate[name] = forward
+    if backward is not None:
+        certificate[name + "_reverse"] = backward
+    return assemble_verdict(order, forward is not None, backward is not None, certificate)
+
+
 def cone_compare(e, f) -> OrderVerdict:
     """Compare conic spans: Cone(a) contains Cone(b) iff some ``G >= 0``
     has ``a @ G = b``, decided by one nonnegative least-squares fit per
-    column of b, stopping at the first column outside.  Dominance
-    certificates carry ``G``, one column of coefficients per column of b."""
-    a, b = _kernel(e), _kernel(f)
-    _check_same_states(a, b)
-    g_fwd = nonnegative_solve(a, b)
-    g_bwd = nonnegative_solve(b, a)
-    return assemble_verdict(
-        "cone", g_fwd is not None, g_bwd is not None,
-        {"coefficients": g_fwd} if g_fwd is not None else None,
-        {"coefficients_reverse": g_bwd} if g_bwd is not None else None,
-    )
+    column of b, stopping at the first column outside.  The certificate
+    holds ``G`` of each direction found, ``coefficients`` or
+    ``coefficients_reverse``: one column of coefficients per column of b."""
+    return fit_verdict("cone", "coefficients", e.kernel, f.kernel, stochastic=False)
 
 
 def colspace_compare(e, f) -> OrderVerdict:
-    """Compare column spaces through ranks of the stacked matrix."""
-    a, b = _kernel(e), _kernel(f)
+    """Compare column spaces through ranks of the stacked matrix; every
+    verdict carries the three ranks."""
+    a, b = e.kernel, f.kernel
     _check_same_states(a, b)
     rank_a = matrix_rank(a)
     rank_b = matrix_rank(b)
@@ -122,7 +128,7 @@ def colspace_compare(e, f) -> OrderVerdict:
     forward = rank_ab == rank_a   # Col(a) contains Col(b)
     backward = rank_ab == rank_b
     cert = {"rank_first": rank_a, "rank_second": rank_b, "rank_stacked": rank_ab}
-    return assemble_verdict("column_space", forward, backward, cert, cert)
+    return assemble_verdict("column_space", forward, backward, cert)
 
 
 def binary_likelihood_ratios(e) -> tuple[float, float]:
@@ -133,7 +139,7 @@ def binary_likelihood_ratios(e) -> tuple[float, float]:
     to 0 or ``inf``; a never-sent realization or an uninformative kernel is
     rejected.
     """
-    kernel = _kernel(e)
+    kernel = e.kernel
     if kernel.shape != (2, 2):
         raise DimensionMismatchError(
             f"likelihood ratios need a 2x2 kernel, got {kernel.shape}; "
@@ -151,8 +157,7 @@ def binary_likelihood_ratios(e) -> tuple[float, float]:
     return l1, l2
 
 
-def _lr_spreads(e) -> tuple[float, float]:
-    l1, l2 = binary_likelihood_ratios(e)
+def _lr_spreads(l1: float, l2: float) -> tuple[float, float]:
     direct = l2 - l1                                   # inf when l2 = inf
     recip = (math.inf if l1 == 0.0 else 1.0 / l1) - (0.0 if math.isinf(l2) else 1.0 / l2)
     return direct, recip
@@ -165,19 +170,20 @@ def binary_k_compare(e, f) -> OrderVerdict:
     the reciprocal ratios weakly exceed those of ``f``.  Revealing
     realizations enter with extended-real arithmetic (a fully revealing
     experiment has both spreads infinite); two infinite spreads compare as
-    equal.
+    equal.  Every verdict carries both experiments' ratios and spreads.
     """
-    d_e, r_e = _lr_spreads(e)
-    d_f, r_f = _lr_spreads(f)
+    ratios_e, ratios_f = binary_likelihood_ratios(e), binary_likelihood_ratios(f)
+    d_e, r_e = _lr_spreads(*ratios_e)
+    d_f, r_f = _lr_spreads(*ratios_f)
     forward = d_e >= d_f and r_e >= r_f
     backward = d_f >= d_e and r_f >= r_e
     cert = {
-        "ratios_first": binary_likelihood_ratios(e),
-        "ratios_second": binary_likelihood_ratios(f),
+        "ratios_first": ratios_e,
+        "ratios_second": ratios_f,
         "spreads_first": (d_e, r_e),
         "spreads_second": (d_f, r_f),
     }
-    return assemble_verdict("binary_indirect_cost", forward, backward, cert, cert)
+    return assemble_verdict("binary_indirect_cost", forward, backward, cert)
 
 
 def k_dominance_sufficient(e, f) -> bool:

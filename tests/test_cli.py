@@ -687,3 +687,48 @@ def test_output_naming_a_directory_exits_2(invoke, tmp_path):
     assert result.exit_code == 2, result.output
     assert f"Error: cannot write the report to {tmp_path}" in result.output
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "null"])
+@pytest.mark.parametrize("command", ["implementable", "contract", "oracle"])
+def test_a_cost_file_that_is_not_an_object_exits_2(invoke, tmp_path, command, text):
+    cost = tmp_path / "c.json"
+    cost.write_text(text)
+    args = [command, "--experiment", write(tmp_path, "e.json", BINARY), "--cost", str(cost),
+            "--target", write(tmp_path, "t.json", BINARY_TARGET)]
+    if command == "oracle":
+        args += ["--contract", write(tmp_path, "k.json", {"payments": [[1.0, 0.0], [0.0, 1.0]]})]
+    result = invoke(args)
+    assert result.exit_code == 2 and result.exception is None, result.output
+    assert "cost JSON must be an object" in result.output
+
+
+@pytest.mark.parametrize("text", [
+    '{"kind": "quadratic", "prior": [0.5, 0.5], "scale": NaN}',
+    '{"kind": "quadratic", "prior": [0.5, 0.5], "scale": Infinity}',
+    '{"kind": "entropy", "prior": [0.5, 0.5], "log_base": 1e400}',
+    '{"kind": "entropy", "prior": [0.5, 0.5], "log_base": NaN}',
+], ids=["scale_nan", "scale_inf", "log_base_inf", "log_base_nan"])
+def test_a_non_finite_cost_parameter_exits_2(invoke, tmp_path, text):
+    # NaN fails every comparison and inf passes the sign checks: each must be
+    # refused as input, not surface as a verdict or as an unrelated error.
+    cost = tmp_path / "c.json"
+    cost.write_text(text)
+    inputs = ["--experiment", write(tmp_path, "e.json", {"kernel": [[0.5, 0.3, 0.2],
+                                                                     [0.2, 0.3, 0.5]]}),
+              "--target", write(tmp_path, "t.json", BINARY_TARGET), "--cost", str(cost)]
+    for args in (["implementable"], ["contract", "--verify"]):
+        result = invoke(args + inputs)
+        assert result.exit_code == 2 and result.exception is None, result.output
+        assert "must be finite" in result.output
+
+
+def test_compare_k2_shows_why_a_pair_is_incomparable(invoke, tmp_path):
+    result = invoke(["compare", "--order", "k2",
+                     "--first", write(tmp_path, "e1.json", {"kernel": [[0.9, 0.1], [0.4, 0.6]]}),
+                     "--second", write(tmp_path, "e2.json", {"kernel": [[0.6, 0.4], [0.1, 0.9]]})])
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.output)
+    assert payload["relation"] == "incomparable" and payload["strict"] is False
+    np.testing.assert_allclose(payload["certificate"]["spreads_first"], [50 / 9, 25 / 12])
+    np.testing.assert_allclose(payload["certificate"]["spreads_second"], [25 / 12, 50 / 9])

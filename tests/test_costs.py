@@ -321,3 +321,21 @@ def test_the_boundary_error_names_the_first_boundary_posterior():
     dist = PosteriorDistribution([[0.5, 0.5], [0.0, 1.0], [1.0, 0.0]], [0.5, 0.25, 0.25])
     with pytest.raises(BoundaryMarginalCostError, match=r"Belief\(\[0\. 1\.\]\)"):
         marginal_cost_matrix(cost, dist)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("make", [
+    lambda value: quadratic_cost(Belief([0.5, 0.5]), scale=value),
+    lambda value: entropy_cost(Belief([0.5, 0.5]), log_base=value),
+], ids=["scale", "log_base"])
+def test_a_non_finite_cost_parameter_is_refused(make, value):
+    # NaN fails every comparison and inf passes the sign checks, so each
+    # needs its own refusal: NaN prices, or a zero entropy scale, otherwise.
+    with pytest.raises(InputError, match="must be finite"):
+        make(value)
+
+
+@pytest.mark.parametrize("data", [[1, 2], None, "entropy"])
+def test_a_cost_json_that_is_not_an_object_is_refused(data):
+    with pytest.raises(InputError, match="must be an object"):
+        cost_from_dict(data)

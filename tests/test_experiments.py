@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from helpers import random_stochastic
@@ -230,3 +232,10 @@ def test_a_distribution_holds_one_read_only_posterior_matrix():
         PosteriorDistribution([[0.5, 0.5], [1.0]], [0.5, 0.5])
     with pytest.raises(InputError, match="simplex"):
         PosteriorDistribution([[0.5, 0.5], [0.9, 0.3]], [0.5, 0.5])
+
+
+@pytest.mark.parametrize("weights", [[math.nan, 1.0], [0.5, math.nan], [math.inf, 1.0]])
+def test_non_finite_weights_are_refused(weights):
+    # NaN passes both the sign and the sum check; it must not reach a cost.
+    with pytest.raises(InputError, match="finite probability vector"):
+        PosteriorDistribution([[0.5, 0.5], [0.5, 0.5]], weights)

@@ -298,3 +298,27 @@ def test_order_verdicts_match_a_direct_lp(shape):
                 assert blackwell_compare(e, f).dominates_weakly
             if kind == "permuted":
                 assert blackwell_compare(e, f).relation is Relation.EQUIVALENT
+
+
+def test_incomparable_k2_and_column_space_verdicts_carry_their_transcript():
+    # Each experiment has the wider spread of one kind: 50/9 against 25/12.
+    first = Experiment([[0.9, 0.1], [0.4, 0.6]])
+    second = Experiment([[0.6, 0.4], [0.1, 0.9]])
+    verdict = binary_k_compare(first, second)
+    assert verdict.relation is Relation.INCOMPARABLE and verdict.strict is False
+    cert = verdict.certificate
+    assert cert["ratios_first"] == (pytest.approx(4 / 9), pytest.approx(6.0))
+    assert cert["ratios_second"] == (pytest.approx(1 / 6), pytest.approx(9 / 4))
+    assert cert["spreads_first"] == (pytest.approx(50 / 9), pytest.approx(25 / 12))
+    assert cert["spreads_second"] == (pytest.approx(25 / 12), pytest.approx(50 / 9))
+    verdict = colspace_compare(RANK2_EQUAL_ROWS, RANK2_SYMMETRIC)
+    assert verdict.relation is Relation.INCOMPARABLE and verdict.strict is False
+    assert verdict.certificate == {"rank_first": 2, "rank_second": 2, "rank_stacked": 3}
+
+
+def test_strict_is_a_python_bool_under_every_order():
+    # The k2 spreads compare as numpy scalars; a numpy bool in the verdict
+    # would not serialize to JSON.
+    for compare in (binary_k_compare, colspace_compare, cone_compare, blackwell_compare):
+        for e, f in ((BINARY, BINARY_SKEWED), (BINARY_SKEWED, BINARY), (BINARY, BINARY)):
+            assert type(compare(e, f).strict) is bool
